@@ -20,7 +20,6 @@ across units.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -30,7 +29,7 @@ from repro.faults.errors import FsyncFailure, PlatformError, PlatformTimeout, To
 from repro.faults.plan import AttemptFaults
 from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.engine import BatchEngine
-from repro.measure.results import PingBlock, TracerouteMeasurement
+from repro.measure.results import TRACE_COLUMN_DTYPES, PingBlock, TraceBlock
 from repro.platforms.probe import Probe
 from repro.platforms.protocols import AtlasLike, SpeedcheckerLike
 from repro.platforms.speedchecker import VPSnapshot
@@ -236,7 +235,7 @@ class FaultyEngine:
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]:
+    ) -> TraceBlock:
         batch = list(requests)
         if self._disconnect_victim is not None:
             survivors = [
@@ -249,25 +248,42 @@ class FaultyEngine:
                     f"trace-drop:{len(batch) - len(survivors)}"
                 )
             batch = survivors
-        records = self._inner.traceroute_batch(batch, rng=rng)
+        block = self._inner.traceroute_batch(batch, rng=rng)
         config = self._faults.config
-        if config.trace_truncation_rate > 0.0 and records:
-            draws = self._faults.measure.random(len(records))
-            truncated = 0
-            for index, record in enumerate(records):
-                if draws[index] >= config.trace_truncation_rate:
-                    continue
-                hops = record.hops
-                if len(hops) <= 1:
-                    continue
-                keep = 1 + int(self._faults.measure.integers(len(hops) - 1))
-                records[index] = dataclasses.replace(
-                    record, hops=hops[:keep]
-                )
-                truncated += 1
-            if truncated:
-                self._faults.record(f"trace-truncated:{truncated}")
-        return records
+        if config.trace_truncation_rate <= 0.0 or not len(block):
+            return block
+        draws = self._faults.measure.random(len(block))
+        lengths = np.diff(block.hop_offsets)
+        kept = lengths.copy()
+        # One cut draw per truncated trace, in row order.
+        for index in np.flatnonzero(
+            (draws < config.trace_truncation_rate) & (lengths > 1)
+        ).tolist():
+            cut = self._faults.measure.integers(int(lengths[index]) - 1)
+            kept[index] = 1 + int(cut)
+        truncated = int(np.count_nonzero(kept != lengths))
+        if not truncated:
+            return block
+        self._faults.record(f"trace-truncated:{truncated}")
+        return _truncate_hops(block, kept)
+
+
+def _truncate_hops(block: TraceBlock, kept: np.ndarray) -> TraceBlock:
+    """``block`` with trace ``i`` cut to its first ``kept[i]`` hops: the
+    hop columns are compacted, every other column carries over."""
+    hop_of = np.repeat(np.arange(len(block)), np.diff(block.hop_offsets))
+    keep = np.arange(block.hop_count) - block.hop_offsets[hop_of] < kept[hop_of]
+    columns = {name: getattr(block, name) for name in TRACE_COLUMN_DTYPES}
+    columns["hop_offsets"] = np.concatenate(([0], np.cumsum(kept)))
+    columns["hop_addresses"] = block.hop_addresses[keep]
+    columns["hop_rtts"] = block.hop_rtts[keep]
+    return TraceBlock(
+        block.probes,
+        block.regions,
+        epochs=block.epochs,
+        outage_ids=block.outage_ids,
+        **columns,
+    )
 
 
 class FaultyFileOps(FileOps):

@@ -8,10 +8,11 @@ equivalent: a whole request list is planned, grouped by forwarding path,
 and *all* jitter / congestion / ICMP-penalty / last-mile noise for every
 sample of every request is drawn as a handful of NumPy arrays.
 
-The result is a columnar :class:`~repro.measure.results.PingBlock` --
-no per-request :class:`~repro.measure.results.PingMeasurement` objects
+The results are columnar :class:`~repro.measure.results.PingBlock` /
+:class:`~repro.measure.results.TraceBlock` objects -- no per-request
+record (nor per-hop :class:`~repro.measure.results.TraceHop`) objects
 are allocated on the hot path; analysis code materializes the record
-view lazily via :meth:`MeasurementDataset.pings`.
+views lazily via :meth:`MeasurementDataset.pings` / ``.traceroutes``.
 
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
@@ -25,7 +26,8 @@ processes, different stream consumption); the KS-equivalence tests in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,9 +44,8 @@ from repro.measure.results import (
     PROTOCOL_CODES,
     PingBlock,
     Protocol,
-    TraceHop,
-    TracerouteMeasurement,
-    build_meta,
+    TraceBlock,
+    trace_block_from_records,
 )
 from repro.platforms.probe import Probe
 
@@ -71,6 +72,35 @@ class TraceRequest:
     region: CloudRegion
     protocol: Protocol = Protocol.ICMP
     day: int = 0
+
+
+def _intern_endpoints(
+    requests: Sequence[Union[PingRequest, TraceRequest]],
+) -> Tuple[List[Probe], List[CloudRegion], List[int], List[int]]:
+    """The batch's probe and region tables plus each request's codes.
+
+    Codes are assigned in first-seen request order -- inherently
+    sequential, and the RNG draws downstream depend on that order.
+    """
+    probes: List[Probe] = []
+    probe_codes_by_id: Dict[str, int] = {}
+    regions: List[CloudRegion] = []
+    region_codes_by_key: Dict[Tuple[str, str], int] = {}
+    probe_codes: List[int] = []
+    region_codes: List[int] = []
+    for request in requests:
+        probe = request.probe
+        probe_code = probe_codes_by_id.setdefault(probe.probe_id, len(probes))
+        if probe_code == len(probes):
+            probes.append(probe)
+        region = request.region
+        region_key = (region.provider_code, region.region_id)
+        region_code = region_codes_by_key.setdefault(region_key, len(regions))
+        if region_code == len(regions):
+            regions.append(region)
+        probe_codes.append(probe_code)
+        region_codes.append(region_code)
+    return probes, regions, probe_codes, region_codes
 
 
 def execute_ping_batch(
@@ -112,12 +142,11 @@ def execute_ping_batch(
         [(request.probe, request.region) for request in requests]
     )
 
-    probes: List[Probe] = []
-    probe_codes_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_codes_by_key: Dict[Tuple[str, str], int] = {}
-    #: Per-probe last-mile parameters, interned by probe code.
-    lastmile_params: Dict[int, Tuple[float, float, float, float, float, float]] = {}
+    probes, regions, probe_code_list, region_code_list = _intern_endpoints(
+        requests
+    )
+    #: Per-probe last-mile parameters, indexed by probe code.
+    lastmile_params = [engine.lastmile_model(p).batch_params() for p in probes]
     #: Per-(continent,) ICMP penalty probability and per-day congestion
     #: cycle multiplier.
     icmp_probability: Dict[object, float] = {}
@@ -128,33 +157,18 @@ def execute_ping_batch(
     rows: List[Tuple[float, ...]] = []
     row_by_key: Dict[Tuple[int, int, int, int], int] = {}
 
-    probe_code_list: List[int] = []
-    region_code_list: List[int] = []
     day_list: List[int] = []
     proto_list: List[int] = []
     count_list: List[int] = []
     row_code_list: List[int] = []
 
-    # Validation plus dict-based code interning -- inherently sequential
-    # (first-seen order defines the codes the RNG draws depend on).
+    # Validation plus dict-based row interning -- inherently sequential.
     for i, request in enumerate(requests):  # repro-lint: disable=PERF001
         if request.samples < 1:
             raise ValueError(f"samples must be >= 1, got {request.samples}")
         probe = request.probe
-        region = request.region
-        probe_code = probe_codes_by_id.get(probe.probe_id)
-        if probe_code is None:
-            probe_code = len(probes)
-            probes.append(probe)
-            probe_codes_by_id[probe.probe_id] = probe_code
-            lastmile_params[probe_code] = engine.lastmile_model(probe).batch_params()
-        region_key = (region.provider_code, region.region_id)
-        region_code = region_codes_by_key.get(region_key)
-        if region_code is None:
-            region_code = len(regions)
-            regions.append(region)
-            region_codes_by_key[region_key] = region_code
-
+        probe_code = probe_code_list[i]
+        region_code = region_code_list[i]
         proto_code = PROTOCOL_CODES[request.protocol]
         day = request.day
         key = (probe_code, region_code, proto_code, day)
@@ -186,8 +200,6 @@ def execute_ping_batch(
             )
             row_by_key[key] = row_code
 
-        probe_code_list.append(probe_code)
-        region_code_list.append(region_code)
         day_list.append(day)
         proto_list.append(proto_code)
         count_list.append(request.samples)
@@ -259,86 +271,91 @@ def execute_traceroute_batch(
     engine: "MeasurementEngine",
     requests: Sequence["TraceRequest"],
     rng: Optional[np.random.Generator] = None,
-) -> List[TracerouteMeasurement]:
+) -> TraceBlock:
     """Execute a traceroute batch in one vectorized pass.
 
-    Phase 1 walks the request list once: paths are planned (cached), the
-    per-trace last-mile is drawn, and home probes behind a NAT router get
-    their private first hop.  Phase 2 samples jitter / congestion / ICMP
-    penalty / control-plane processing for *every hop of every trace* as
-    flat arrays, then slices the results back into per-trace hop lists.
+    Phase 1 plans the paths (cached), interns probes/regions in
+    first-seen request order and gathers per-probe and per-request
+    parameter columns; one array draw resolves every trace's access
+    medium.  Phase 2 samples jitter / congestion /
+    ICMP penalty / control-plane processing for *every hop of every
+    trace* as flat arrays and writes them straight into the block's hop
+    columns: home probes measuring from behind a NAT router get a
+    private first-hop slot, and unresponsive hops (never the
+    destination) are written in-band as ``NO_ADDRESS`` / ``NaN``.
 
     ``rng`` overrides the engine's measurement stream (see
     :func:`execute_ping_batch`).
     """
     n = len(requests)
     if n == 0:
-        return []
+        return trace_block_from_records([])
     config = engine.config
     if rng is None:
         rng = engine.rng
-    path_config = config.path_model
-    unresponsive_p = path_config.hop_unresponsive_probability
+    unresponsive_p = config.path_model.hop_unresponsive_probability
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
     paths = engine.planner.plan_many(
         [(request.probe, request.region) for request in requests]
     )
-    accesses: List[AccessKind] = []
-    lastmile_rows: List[Tuple[float, ...]] = []
-    sigma = np.empty(n)
-    congestion_p = np.empty(n)
-    icmp_p = np.empty(n)
-    icmp_mask = np.empty(n, bool)
-    counts = np.empty(n, np.int64)
-    icmp_probability: Dict[object, float] = {}
-    cycle_multiplier: Dict[int, float] = {}
+    probes, regions, probe_code_list, region_code_list = _intern_endpoints(
+        requests
+    )
+    probe_codes = np.array(probe_code_list, np.int32)
 
-    # One array draw decides every trace's access switch (a wireless
-    # probe occasionally measures over the other medium; see
+    # Per-probe columns, indexed by probe code.
+    probe_penalty = np.array(
+        [icmp_penalty_probability_for(p.continent, config) for p in probes]
+    )
+    probe_params = np.array(
+        [engine.lastmile_model(p).batch_params() for p in probes], np.float64
+    )
+    probe_wireless = np.array([p.access.is_wireless for p in probes], bool)
+    probe_wifi = np.array([p.access is AccessKind.HOME_WIFI for p in probes])
+    probe_nat = np.array([p.device_address != p.public_address for p in probes])
+    probe_sources = np.array([p.device_address for p in probes], np.int64)
+
+    # Per-request columns.
+    days = np.array([request.day for request in requests], np.int32)
+    cycle = {
+        day: congestion_cycle_multiplier(day, config)
+        for day in np.unique(days).tolist()
+    }
+    protocol_codes = np.array(
+        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
+    )
+    icmp_mask = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
+    counts = np.array([len(path.hop_addresses) for path in paths], np.int64)
+    dest_addresses = np.array([path.dest_address for path in paths], np.int64)
+    sigma = np.array([path.jitter_sigma for path in paths])
+    congestion_p = np.array(
+        [path.congestion_probability for path in paths]
+    ) * np.array([cycle[day] for day in days.tolist()])
+    icmp_p = np.where(icmp_mask, probe_penalty[probe_codes], 0.0)
+
+    # One array draw decides every trace's access switch: a wireless
+    # probe occasionally measures over the other medium (see
     # MeasurementEngine.measurement_access).
     switch_p = config.last_mile.access_switch_probability
-    access_draws = rng.random(n).tolist()
-    # Per-request access resolution branches on probe state; the draws
-    # it consumes are already a single array pull above.
-    for i, request in enumerate(requests):  # repro-lint: disable=PERF001
-        probe = request.probe
-        path = paths[i]
-        counts[i] = path.hop_count
-        access = probe.access
-        if access.is_wireless and access_draws[i] < switch_p:
-            access = (
-                AccessKind.CELLULAR
-                if access is AccessKind.HOME_WIFI
-                else AccessKind.HOME_WIFI
-            )
-        accesses.append(access)
-        lastmile_rows.append(
-            engine.lastmile_model(probe, access).batch_params()
+    switched = probe_wireless[probe_codes] & (rng.random(n) < switch_p)
+    lastmile = probe_params[probe_codes]
+    for i in np.flatnonzero(switched).tolist():
+        probe = requests[i].probe
+        other = (
+            AccessKind.CELLULAR
+            if probe.access is AccessKind.HOME_WIFI
+            else AccessKind.HOME_WIFI
         )
-
-        day = request.day
-        multiplier = cycle_multiplier.get(day)
-        if multiplier is None:
-            multiplier = congestion_cycle_multiplier(day, config)
-            cycle_multiplier[day] = multiplier
-        is_icmp = request.protocol is Protocol.ICMP
-        if is_icmp:
-            penalty = icmp_probability.get(probe.continent)
-            if penalty is None:
-                penalty = icmp_penalty_probability_for(probe.continent, config)
-                icmp_probability[probe.continent] = penalty
-        else:
-            penalty = 0.0
-        sigma[i] = path.jitter_sigma
-        congestion_p[i] = path.congestion_probability * multiplier
-        icmp_p[i] = penalty
-        icmp_mask[i] = is_icmp
+        lastmile[i] = engine.lastmile_model(probe, other).batch_params()
+    # Hop 1 is the home router when measuring over WiFi from behind a
+    # NAT (a cellular probe switched onto WiFi always is).
+    wifi = probe_wifi[probe_codes]
+    behind_router = (wifi ^ switched) & (~wifi | probe_nat[probe_codes])
 
     # One last-mile draw per trace (all traces at once; draw order is
     # air noise, bufferbloat uniforms, wire noise, router processing).
-    lastmile = np.array(lastmile_rows, np.float64)
     z_air = rng.standard_normal(n)
     u_bloat = rng.random(n)
     z_wire = rng.standard_normal(n)
@@ -354,13 +371,13 @@ def execute_traceroute_batch(
     lastmile_total = air + wire
     # Hop-1 home-router RTT for probes measuring from behind a NAT: the
     # WiFi air segment plus the router's own processing.
-    router_rtts = np.round(air + rng.exponential(0.3, n), 3).tolist()
+    router_rtts = np.round(air + rng.exponential(0.3, n), 3)
 
     # -- phase 2: one vectorized pass over every hop of every trace ---------
     total = int(counts.sum())
     hop_of = np.repeat(np.arange(n), counts)
     base = np.fromiter(
-        (rtt for path in paths for rtt in path.hop_base_rtts),
+        chain.from_iterable(path.hop_base_rtts for path in paths),
         np.float64,
         count=total,
     )
@@ -373,45 +390,39 @@ def execute_traceroute_batch(
         config,
         rng,
     )
-    rtts = np.round(lastmile_total[hop_of] + hop_core, 3).tolist()
-    unresponsive_draws = rng.random(total).tolist()
+    rtts = np.round(lastmile_total[hop_of] + hop_core, 3)
+    addresses = np.fromiter(
+        chain.from_iterable(path.hop_addresses for path in paths),
+        np.int64,
+        count=total,
+    )
+    blank = (addresses != dest_addresses[hop_of]) & (
+        rng.random(total) < unresponsive_p
+    )
 
-    results: List[TracerouteMeasurement] = []
-    position = 0
-    # Assembly of ragged per-trace hop lists from the flat column draws
-    # above -- the numeric work is already vectorized, this loop only
-    # slices it back into TracerouteMeasurement objects.
-    for i, (request, path, access) in enumerate(  # repro-lint: disable=PERF001
-        zip(requests, paths, accesses)
-    ):
-        probe = request.probe
-        hops: List[TraceHop] = []
-        behind_router = access is AccessKind.HOME_WIFI and (
-            probe.access is not AccessKind.HOME_WIFI
-            or probe.device_address != probe.public_address
-        )
-        if behind_router:
-            # Hop 1: the home router, reached over the WiFi air segment.
-            hops.append(
-                TraceHop(address=HOME_ROUTER_ADDRESS, rtt_ms=router_rtts[i])
-            )
-        dest_address = path.dest_address
-        for address in path.hop_addresses:
-            if (
-                address != dest_address
-                and unresponsive_draws[position] < unresponsive_p
-            ):
-                hops.append(TraceHop(address=None, rtt_ms=None))
-            else:
-                hops.append(TraceHop(address=address, rtt_ms=rtts[position]))
-            position += 1
-        results.append(
-            TracerouteMeasurement(
-                meta=build_meta(request.probe, request.region, request.day),
-                protocol=request.protocol,
-                source_address=request.probe.device_address,
-                dest_address=dest_address,
-                hops=tuple(hops),
-            )
-        )
-    return results
+    # Trace i owns slots hop_offsets[i]:hop_offsets[i+1] -- the router
+    # slot first when it has one, then its path hops in order.
+    hop_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(counts + behind_router, out=hop_offsets[1:])
+    router_slots = hop_offsets[:-1][behind_router]
+    path_slots = np.arange(total) + np.cumsum(behind_router)[hop_of]
+    hop_addresses = np.empty(int(hop_offsets[-1]), np.int64)
+    hop_rtts = np.empty(int(hop_offsets[-1]), np.float64)
+    hop_addresses[router_slots] = HOME_ROUTER_ADDRESS
+    hop_rtts[router_slots] = router_rtts[behind_router]
+    hop_addresses[path_slots] = np.where(blank, TraceBlock.NO_ADDRESS, addresses)
+    hop_rtts[path_slots] = np.where(blank, np.nan, rtts)
+
+    return TraceBlock(
+        probes=probes,
+        regions=regions,
+        probe_codes=probe_codes,
+        region_codes=np.array(region_code_list, np.int32),
+        days=days,
+        protocol_codes=protocol_codes,
+        source_addresses=probe_sources[probe_codes],
+        dest_addresses=dest_addresses,
+        hop_offsets=hop_offsets,
+        hop_addresses=hop_addresses,
+        hop_rtts=hop_rtts,
+    )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import typing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.measure.results import (
     PingBlock,
     PingMeasurement,
     Protocol,
+    TraceBlock,
     TracerouteMeasurement,
     build_meta,
 )
@@ -45,7 +46,7 @@ class BatchEngine(typing.Protocol):
     Structural, so the resilient runner can hand units either a real
     :class:`MeasurementEngine` or a fault-injecting wrapper
     (:class:`repro.faults.injectors.FaultyEngine`) without the unit code
-    knowing the difference.
+    knowing the difference.  Both calls return columnar blocks.
     """
 
     def ping_batch(
@@ -58,7 +59,7 @@ class BatchEngine(typing.Protocol):
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]: ...
+    ) -> TraceBlock: ...
 
 
 class MeasurementEngine:
@@ -205,19 +206,19 @@ class MeasurementEngine:
         request = TraceRequest(
             probe=probe, region=region, protocol=Protocol(protocol), day=day
         )
-        return execute_traceroute_batch(self, [request])[0]
+        return execute_traceroute_batch(self, [request]).record(0)
 
     def traceroute_batch(
         self,
         requests: Sequence[TraceRequest],
         rng: Optional[np.random.Generator] = None,
-    ) -> List[TracerouteMeasurement]:
+    ) -> TraceBlock:
         """Execute a whole traceroute batch in one vectorized pass.
 
         The fast-path equivalent of calling :meth:`traceroute` once per
         request: every hop of every trace is sampled as flat NumPy
-        arrays.  Returns the :class:`TracerouteMeasurement` list in
-        request order.  ``rng`` overrides the engine's stream (used by
+        arrays.  Row ``i`` of the returned :class:`TraceBlock` is
+        request ``i``.  ``rng`` overrides the engine's stream (used by
         checkpointed campaign units).
         """
         return execute_traceroute_batch(self, requests, rng=rng)

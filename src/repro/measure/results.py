@@ -529,6 +529,13 @@ class TraceBlock:
             self._records = [self.record(i) for i in range(len(self))]
         return self._records
 
+    # Read-only sequence access over the cached record views.
+    def __iter__(self) -> Iterator[TracerouteMeasurement]:
+        return iter(self.records())
+
+    def __getitem__(self, index: int) -> TracerouteMeasurement:
+        return self.records()[index]
+
     def validate(self) -> None:
         """Check the block's columns against the canonical schema."""
         n = len(self)

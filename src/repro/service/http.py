@@ -13,13 +13,20 @@ blocking calls.  Routing lives in :mod:`repro.service.app`.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
+import logging
 from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
 
 #: Sane bounds for a measurement API; requests beyond them are rejected
 #: rather than buffered.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+_LOG = logging.getLogger("repro.service")
+
+#: Per-process ids tying an opaque 500 response to its logged traceback.
+_ERROR_IDS = itertools.count(1)
 
 _REASONS = {
     200: "OK",
@@ -302,11 +309,16 @@ async def serve_connection(
                     )
                 except asyncio.CancelledError:
                     raise
-                except Exception:  # pragma: no cover - defensive
-                    import traceback
-
+                except Exception:
+                    error_id = next(_ERROR_IDS)
+                    _LOG.exception(
+                        "unhandled error %d in %s %s",
+                        error_id,
+                        request.method,
+                        request.path,
+                    )
                     response = Response(
-                        500, {"error": traceback.format_exc(limit=4)}
+                        500, {"error": "internal error", "error_id": error_id}
                     )
             await write_response(writer, response, close=close)
             if close:

@@ -39,6 +39,20 @@ DAYS = 2
 #: zone maps added to shard headers for the query planner).
 GOLDEN = "de3e24aff9f93ab6d40cb2fc996066ced7aca8bea59a627b59f0a52caeed34d7"
 
+#: Whole-run-directory digests of faulted serial runs (``RETRY`` below)
+#: whose faults reshape the traceroute data itself: truncated hop lists,
+#: dropped victim traces, lost replies.  Pinned before traceroutes were
+#: assembled as columnar blocks, so any change in how the engine or the
+#: fault wrapper builds trace columns shows up here byte for byte.
+FAULTED_GOLDEN = {
+    "trace-truncation": (
+        "2f2756cbbff348254814666d97f389b2d4d6b699a4d9f106a8381d77788b4f16"
+    ),
+    "everything": (
+        "ea04dc9778bcfab408bfac198da823dcae565dc799386453e98fd5fca0fbf7d7"
+    ),
+}
+
 #: Fault events that legitimately change what data a unit holds.  Any
 #: other event (timeouts, torn writes, fsync failures) is recovered by
 #: retry and must leave the unit's shards byte-identical to a fault-free
@@ -134,6 +148,16 @@ class TestByteIdentity:
         )
         assert file_map(run_dir) == file_map(reference_dir)
         assert run_digest(run_dir) == GOLDEN
+
+    @pytest.mark.parametrize("regime", sorted(FAULTED_GOLDEN))
+    def test_faulted_run_is_byte_identical_to_pinned_digest(
+        self, regime, world, tmp_path
+    ):
+        run_dir = tmp_path / regime
+        run_campaign_checkpointed(
+            world, run_dir, days=DAYS, faults=MATRIX[regime], retry=RETRY
+        )
+        assert run_digest(run_dir) == FAULTED_GOLDEN[regime]
 
 
 def _clean_units(store):

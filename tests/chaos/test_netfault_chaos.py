@@ -23,7 +23,13 @@ from repro import build_world
 from repro.measure.campaign import resume_campaign, run_campaign_checkpointed
 from repro.netfaults import NetworkFaultConfig, NetworkFaultPlan
 
-from tests.chaos.test_chaos_matrix import GOLDEN, file_map, run_digest
+from tests.chaos.test_chaos_matrix import (
+    GOLDEN,
+    MATRIX,
+    RETRY,
+    file_map,
+    run_digest,
+)
 
 SEED = 11
 SCALE = 0.01
@@ -77,6 +83,38 @@ class TestEmptyPlanByteIdentity:
         run_dir = tmp_path / "none"
         run_campaign_checkpointed(world, run_dir, days=DAYS, netfaults=None)
         assert run_digest(run_dir) == GOLDEN
+
+
+#: Whole-run-directory digests of serial runs under active event plans,
+#: pinned before traceroutes were assembled as columnar blocks.
+#: ``regional-outage`` drops traces mid-batch and splits every unit into
+#: several epoch segments, so its trace shards exercise the segment
+#: merge and the (epoch, outage id) provenance columns;
+#: ``harness+everything`` additionally runs the fault-injecting engine
+#: (``MATRIX["everything"]``) on top of the event plan, truncating and
+#: dropping traces that already carry provenance.
+EVENT_GOLDEN = {
+    "regional-outage": (
+        "299e229249be83ba84a95b4458ebf4108a42fec1594c808a98c2f4ca4535e3c5"
+    ),
+    "harness+everything": (
+        "dfd181ee55a2b1212181725f64af1ba4665ef206f84796a3ede54fe2b4dbcf96"
+    ),
+}
+
+
+class TestEventPlanGolden:
+    @pytest.mark.parametrize("regime", sorted(EVENT_GOLDEN))
+    def test_event_run_is_byte_identical_to_its_golden_digest(
+        self, regime, world, tmp_path
+    ):
+        harness, _, events = regime.rpartition("+")
+        options = {"netfaults": NETFAULT_MATRIX[events]}
+        if harness:
+            options.update(faults=MATRIX[events], retry=RETRY)
+        run_dir = tmp_path / "run"
+        run_campaign_checkpointed(world, run_dir, days=DAYS, **options)
+        assert run_digest(run_dir) == EVENT_GOLDEN[regime]
 
 
 @pytest.mark.parametrize("regime", sorted(NETFAULT_MATRIX))

@@ -170,7 +170,9 @@ class TestBatchEdgeCases:
         assert block.records() == []
 
     def test_empty_traceroute_batch(self, world):
-        assert world.engine.traceroute_batch([]) == []
+        block = world.engine.traceroute_batch([])
+        assert len(block) == 0
+        assert block.hop_offsets.tolist() == [0]
 
     def test_rejects_nonpositive_samples(self, world):
         region = next(iter(world.catalog))

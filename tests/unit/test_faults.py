@@ -34,6 +34,7 @@ from repro.measure.results import (
     TracerouteMeasurement,
     build_meta,
     ping_block_from_records,
+    trace_block_from_records,
 )
 from repro.platforms.atlas import AtlasPlatform
 from repro.platforms.probe import Probe
@@ -92,20 +93,22 @@ class StubEngine:
 
     def traceroute_batch(self, requests, rng=None):
         self.trace_requests = list(requests)
-        return [
-            TracerouteMeasurement(
-                meta=build_meta(r.probe, r.region, r.day),
-                protocol=r.protocol,
-                source_address=167772161,
-                dest_address=167772999,
-                hops=(
-                    TraceHop(address=167772162, rtt_ms=4.5),
-                    TraceHop(address=167772500, rtt_ms=11.0),
-                    TraceHop(address=167772999, rtt_ms=31.125),
-                ),
-            )
-            for r in self.trace_requests
-        ]
+        return trace_block_from_records(
+            [
+                TracerouteMeasurement(
+                    meta=build_meta(r.probe, r.region, r.day),
+                    protocol=r.protocol,
+                    source_address=167772161,
+                    dest_address=167772999,
+                    hops=(
+                        TraceHop(address=167772162, rtt_ms=4.5),
+                        TraceHop(address=167772500, rtt_ms=11.0),
+                        TraceHop(address=167772999, rtt_ms=31.125),
+                    ),
+                )
+                for r in self.trace_requests
+            ]
+        )
 
 
 class TestFaultConfig:

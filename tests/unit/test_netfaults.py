@@ -391,6 +391,20 @@ class TestNetfaultEngineIntegration:
         assert find_netfault_engine(Wrapper(engine)) is engine
         assert find_netfault_engine(Wrapper(Wrapper(object()))) is None
 
+    def test_empty_batches_carry_zero_length_provenance(self, world):
+        """A unit with no requests under an active plan still writes the
+        provenance columns, so its shards match its siblings' schema."""
+        plan = NetworkFaultPlan(
+            world.config.seed, ACTIVE_CONFIG, world.topology, world.catalog
+        )
+        engine = NetfaultEngine(world.engine, plan, FailoverPathPolicy())
+        for block in (engine.ping_batch([]), engine.traceroute_batch([])):
+            assert len(block) == 0
+            block.validate()
+            for column in (block.epochs, block.outage_ids):
+                assert column is not None
+                assert column.dtype == np.int32 and column.size == 0
+
     def test_shards_carry_uniform_provenance_columns(self, netfault_store):
         for kind in ("pings", "traces"):
             for entry in netfault_store.shard_entries(kind=kind):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 
 import pytest
@@ -28,7 +29,13 @@ from repro.service import (
     VirtualClock,
     job_id_for,
 )
-from repro.service.http import HttpError, Request, Response, Router
+from repro.service.http import (
+    HttpError,
+    Request,
+    Response,
+    Router,
+    serve_connection,
+)
 from repro.service.streams import (
     accepted_event,
     commit_event,
@@ -211,6 +218,70 @@ class TestRouter:
     def test_http_error_carries_headers(self):
         error = HttpError(429, "slow down", headers={"Retry-After": "1.5"})
         assert error.headers == {"Retry-After": "1.5"}
+
+
+def _exchange(router, raw_requests):
+    """Send each raw request on its own connection; return raw replies."""
+
+    async def run():
+        server = await asyncio.start_server(
+            lambda reader, writer: serve_connection(router, reader, writer),
+            "127.0.0.1",
+            0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        replies = []
+        try:
+            for raw in raw_requests:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(raw)
+                await writer.drain()
+                replies.append(await reader.read())
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            server.close()
+            await server.wait_closed()
+        return replies
+
+    return asyncio.run(run())
+
+
+class TestUnhandledHandlerError:
+    REQUEST = b"GET /v1/boom HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+    def test_client_gets_an_opaque_id_and_the_log_gets_the_traceback(
+        self, caplog
+    ):
+        router = Router()
+
+        async def boom(request):
+            raise RuntimeError("secret handler detail")
+
+        router.add("GET", "/v1/boom", boom)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            replies = _exchange(router, [self.REQUEST, self.REQUEST])
+
+        payloads = []
+        for raw in replies:
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 500 ")
+            assert b"Traceback" not in raw
+            assert b"secret handler detail" not in raw
+            assert b".py" not in raw
+            payload = json.loads(body)
+            assert payload["error"] == "internal error"
+            assert set(payload) == {"error", "error_id"}
+            payloads.append(payload)
+        first, second = (payload["error_id"] for payload in payloads)
+        assert second == first + 1
+
+        logged = [r for r in caplog.records if r.name == "repro.service"]
+        assert len(logged) == 2
+        for record, payload in zip(logged, payloads):
+            assert str(payload["error_id"]) in record.getMessage()
+            assert record.exc_info[0] is RuntimeError
+            assert "secret handler detail" in record.exc_text
 
 
 class TestTenantRegistry:
