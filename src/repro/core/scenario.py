@@ -76,10 +76,8 @@ def build_world(
         catalog=catalog,
         providers=PROVIDERS,
         wans=wans,
-        speedchecker=SpeedcheckerPlatform(
-            speedchecker_probes, config, rngs.stream("platform.speedchecker")
-        ),
-        atlas=AtlasPlatform(atlas_probes, rngs.stream("platform.atlas")),
+        speedchecker=SpeedcheckerPlatform(speedchecker_probes, config),
+        atlas=AtlasPlatform(atlas_probes),
         region_addresses=region_addresses,
     )
     # The world's object graph (topology, probe fleets, routing inputs)

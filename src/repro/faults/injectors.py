@@ -97,7 +97,7 @@ class FaultySpeedchecker:
     # -- faulted API calls -------------------------------------------------
 
     def snapshot(
-        self, day: int, hour: int, rng: Optional[np.random.Generator] = None
+        self, day: int, hour: int, rng: np.random.Generator
     ) -> VPSnapshot:
         _draw_api_fault(self._faults, self.name, "snapshot")
         return self._inner.snapshot(day, hour, rng=rng)
@@ -107,8 +107,8 @@ class FaultySpeedchecker:
         iso: str,
         snapshot: VPSnapshot,
         count: int,
-        pool: Optional[List[Probe]] = None,
-        rng: Optional[np.random.Generator] = None,
+        pool: List[Probe],
+        rng: np.random.Generator,
     ) -> List[Probe]:
         _draw_api_fault(self._faults, self.name, "select_probes")
         return self._inner.select_probes(iso, snapshot, count, pool=pool, rng=rng)
@@ -149,9 +149,7 @@ class FaultyAtlas:
     def name(self) -> str:
         return self._inner.name
 
-    def connected_probes(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> List[Probe]:
+    def connected_probes(self, rng: np.random.Generator) -> List[Probe]:
         _draw_api_fault(self._faults, self.name, "connected_probes")
         return self._inner.connected_probes(rng=rng)
 

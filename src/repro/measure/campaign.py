@@ -9,8 +9,7 @@ Reproduces the paper's operational setup:
 - a daily request quota and a self-imposed rate limit bound the volume,
   truncating the day's assembled request list up front;
 - each day's requests are issued through the vectorized batch engine
-  (:meth:`MeasurementEngine.ping_batch`) and land in the dataset as
-  columnar ping blocks;
+  and land in the dataset as columnar ping and trace blocks;
 - probes target the cloud regions of their own continent, plus the
   neighbouring well-provisioned continents for Africa (EU, NA) and South
   America (NA);
@@ -19,20 +18,33 @@ Reproduces the paper's operational setup:
 
 The Atlas fleet is measured with the same engine but without quota,
 mirroring the year-long continuous collection of Corneo et al.
+
+A campaign is a list of (platform, day) *units*, each a pure function
+of (seed, config, unit id): scheduling, availability and measurement
+noise come from per-unit ``RngStreams.fork`` streams, and path planning
+uses the planner's pair-deterministic mode.  :func:`run_campaign` runs
+the units in memory; :func:`run_campaign_checkpointed` flushes each
+completed unit to a :class:`~repro.store.warehouse.DatasetStore` and
+journals it, so an interrupted run resumed later produces a
+byte-identical store.  Both run the same units, so
+``run_campaign(world)`` equals the checkpointed store's
+:meth:`~repro.store.warehouse.DatasetStore.materialize`.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cloud.regions import CloudRegion
 from repro.core.config import config_digest
 from repro.exec.runner import execute_plan_parallel
+from repro.exec.scheduler import unit_day
 from repro.exec.staging import discard_staging
 from repro.faults.config import FaultConfig, RetryPolicy, fault_digest
 from repro.faults.injectors import FaultyAtlas, FaultyEngine, FaultySpeedchecker
@@ -120,197 +132,64 @@ def target_regions(
     return list(chosen.values())
 
 
-def run_campaign(
-    world: "World",
-    days: Optional[int] = None,
-    platforms: Sequence[str] = ("speedchecker", "atlas"),
-) -> MeasurementDataset:
-    """Run the measurement campaign and return the collected dataset."""
-    config = world.config
-    total_days = days if days is not None else config.campaign.days
-    if total_days < 1:
-        raise ValueError(f"campaign needs at least one day, got {total_days}")
-    dataset = MeasurementDataset()
-    # The campaign allocates records in bulk and none of them form
-    # reference cycles, but a large live heap (planned-path caches,
-    # earlier datasets) makes each automatic gen-2 collection a full
-    # multi-millisecond traversal that fires repeatedly mid-campaign.
-    # Suspend collection for the duration and restore the collector to
-    # its previous state after.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        if "speedchecker" in platforms:
-            _run_speedchecker(world, total_days, dataset)
-        if "atlas" in platforms:
-            _run_atlas(world, total_days, dataset)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return dataset
-
-
-def _run_speedchecker(
-    world: "World", total_days: int, dataset: MeasurementDataset
-) -> None:
-    config = world.config
-    campaign = config.campaign
-    platform = world.speedchecker
-    engine = world.engine
-    rng = world.rngs.stream("campaign.speedchecker")
-
-    min_probes = config.scaled(
-        config.platforms.min_probes_per_country, minimum=2
-    )
-    cycle = platform.countries_with_at_least(min_probes)
-    if not cycle:
-        cycle = platform.countries()
-    per_day = max(1, math.ceil(len(cycle) / campaign.cycle_days))
-    visit_cap = config.scaled(_PROBES_PER_VISIT_CAP, minimum=3)
-    rate_cap = int(campaign.requests_per_minute * 60 * 24)
-
-    cycle_order = list(cycle)
-    for day in range(total_days):
-        platform.refresh_quota()
-        # Probe selection keys off the midnight snapshot only; the later
-        # 4-hourly snapshots never influenced scheduling, so computing
-        # them up front discarded 5/6 of the availability draws.
-        selection_snapshot = platform.snapshot(day, hour=0)
-        if day % campaign.cycle_days == 0:
-            # Re-shuffle each sweep so quota/rate-limit truncation does
-            # not systematically starve the same countries.
-            rng.shuffle(cycle_order)
-        cycle_position = (day % campaign.cycle_days) * per_day
-        todays = cycle_order[cycle_position : cycle_position + per_day]
-
-        # Assemble the whole day's request list up front, truncating
-        # against the rate cap and the remaining daily quota on the list
-        # itself -- once the budget is reached the rest of the day's
-        # country and probe loops are skipped entirely.
-        budget = min(rate_cap, platform.remaining_quota)
-        requests: List[PingRequest] = []
-        traces: List[TraceRequest] = []
-        for iso in todays:
-            if len(requests) >= budget:
-                break
-            connected = platform.connected_in_country(iso, selection_snapshot)
-            visit_count = min(
-                visit_cap, max(2, int(len(connected) * _VISIT_SHARE))
-            )
-            probes = platform.select_probes(
-                iso, selection_snapshot, visit_count, pool=connected
-            )
-            for probe in probes:
-                if len(requests) >= budget:
-                    break
-                for region in target_regions(world, probe, rng):
-                    if len(requests) >= budget:
-                        break
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=Protocol.TCP,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
-                    # The traceroute coin flip happens at scheduling
-                    # time, alongside the ping it rides with.
-                    if rng.random() < campaign.traceroute_share:
-                        traces.append(
-                            TraceRequest(
-                                probe=probe,
-                                region=region,
-                                protocol=Protocol.ICMP,
-                                day=day,
-                            )
-                        )
-        if not requests:
-            continue
-        platform.charge(len(requests))
-        dataset.add_ping_block(engine.ping_batch(requests))
-        dataset.add_trace_block(engine.traceroute_batch(traces))
-
-
-def _run_atlas(
-    world: "World", total_days: int, dataset: MeasurementDataset
-) -> None:
-    config = world.config
-    campaign = config.campaign
-    platform = world.atlas
-    engine = world.engine
-    rng = world.rngs.stream("campaign.atlas")
-    #: Fraction of connected Atlas probes scheduled per day.
-    daily_share = 0.35
-
-    for day in range(total_days):
-        connected = platform.connected_probes()
-        if not connected:
-            continue
-        count = max(1, int(len(connected) * daily_share))
-        picks = rng.choice(len(connected), size=count, replace=False)
-        # Corneo et al. collected ICMP pings and TCP traceroutes; we
-        # record TCP pings as well so the cross-platform latency
-        # comparison uses TCP on both sides (section 3.3).  Both
-        # protocols for every (probe, region) pair go into one batch.
-        pairs: List[Tuple[Probe, CloudRegion]] = []
-        requests: List[PingRequest] = []
-        for pick in picks:
-            probe = connected[int(pick)]
-            for region in target_regions(world, probe, rng):
-                pairs.append((probe, region))
-                for protocol in (Protocol.TCP, Protocol.ICMP):
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=protocol,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
-        if not requests:
-            continue
-        dataset.add_ping_block(engine.ping_batch(requests))
-        traceroute_draws = rng.random(len(pairs))
-        traces = [
-            TraceRequest(probe=probe, region=region, protocol=Protocol.TCP, day=day)
-            for (probe, region), draw in zip(pairs, traceroute_draws)
-            if draw < campaign.traceroute_share
-        ]
-        dataset.add_trace_block(engine.traceroute_batch(traces))
-
-
-# -- checkpointed campaigns ----------------------------------------------
-#
-# The classic run_campaign() draws every stochastic decision from two
-# long-lived streams, so day k's randomness depends on every draw of
-# days 0..k-1 and the run cannot be split.  The checkpointed runner
-# makes each (platform, day) *unit* a pure function of (seed, config,
-# unit id): scheduling, availability and measurement noise come from
-# per-unit ``RngStreams.fork`` streams, and path planning uses the
-# planner's pair-deterministic mode.  Completed units are flushed to a
-# :class:`~repro.store.warehouse.DatasetStore` and journaled, so an
-# interrupted run resumed later produces a byte-identical store.
-
-#: Platforms the checkpointed runner knows how to schedule.
+#: Platforms a campaign knows how to schedule.
 CHECKPOINT_PLATFORMS = ("speedchecker", "atlas")
 
-#: Fraction of connected Atlas probes scheduled per day (matches the
-#: classic runner's schedule density).
+#: Fraction of connected Atlas probes scheduled per day.
 _ATLAS_DAILY_SHARE = 0.35
 
 PathLike = Union[str, Path]
 
 
-def plan_units(days: int, platforms: Sequence[str]) -> List[str]:
-    """The ordered unit ids of a checkpointed campaign.
+@contextmanager
+def _gc_suspended() -> Iterator[None]:
+    """Suspend automatic garbage collection for a campaign run.
 
-    One unit per (platform, day), platform-major -- the same order the
-    classic runner visits work in.
+    The campaign allocates records in bulk and none of them form
+    reference cycles, but a large live heap (planned-path caches,
+    earlier datasets) makes each automatic gen-2 collection a full
+    multi-millisecond traversal that fires repeatedly mid-campaign.
+    The collector is restored to its previous state after.
     """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def run_campaign(
+    world: "World",
+    days: Optional[int] = None,
+    platforms: Sequence[str] = CHECKPOINT_PLATFORMS,
+) -> MeasurementDataset:
+    """Run the measurement campaign and return the collected dataset.
+
+    The in-memory form of :func:`run_campaign_checkpointed`: the same
+    units run in the same order, so the dataset equals that store's
+    :meth:`~repro.store.warehouse.DatasetStore.materialize`.
+    """
+    total_days = days if days is not None else world.config.campaign.days
+    units = plan_units(total_days, platforms)
+    executor = CheckpointExecutor(world, _checkpoint_engine(world))
+    dataset = MeasurementDataset()
+    with _gc_suspended():
+        for unit in units:
+            result = executor(unit, unit_day(unit), None)
+            # Empty blocks are skipped, as the store writes no shard.
+            if len(result.ping_block):
+                dataset.add_ping_block(result.ping_block)
+            if len(result.trace_block):
+                dataset.add_trace_block(result.trace_block)
+    return dataset
+
+
+def plan_units(days: int, platforms: Sequence[str]) -> List[str]:
+    """The ordered unit ids of a campaign: one per (platform, day),
+    platform-major."""
     if days < 1:
         raise ValueError(f"campaign needs at least one day, got {days}")
     units: List[str] = []
@@ -732,12 +611,7 @@ def run_campaign_checkpointed(
     )
     executor = CheckpointExecutor(world, engine)
 
-    # As in run_campaign: bulk record allocation with no reference
-    # cycles, so suspend the collector for the duration.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
+    with _gc_suspended():
         if workers == 1:
             execute_plan(
                 store,
@@ -770,9 +644,6 @@ def run_campaign_checkpointed(
                 abort_after_commits=abort_after_commits,
                 on_commit=on_commit,
             )
-    finally:
-        if was_enabled:
-            gc.enable()
     return store
 
 

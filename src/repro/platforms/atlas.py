@@ -8,7 +8,7 @@ year of continuous measurements).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class AtlasPlatform:
 
     name = "atlas"
 
-    def __init__(self, probes: Sequence[Probe], rng: np.random.Generator):
+    def __init__(self, probes: Sequence[Probe]):
         self._probes: List[Probe] = list(probes)
         self._by_id: Dict[str, Probe] = {p.probe_id: p for p in self._probes}
         self._by_country: Dict[str, List[Probe]] = {}
@@ -29,7 +29,6 @@ class AtlasPlatform:
         self._availability = np.array(
             [probe.availability for probe in self._probes], dtype=np.float64
         )
-        self._rng = rng
 
     def __len__(self) -> int:
         return len(self._probes)
@@ -50,18 +49,13 @@ class AtlasPlatform:
     def countries(self) -> List[str]:
         return sorted(self._by_country)
 
-    def connected_probes(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> List[Probe]:
+    def connected_probes(self, rng: np.random.Generator) -> List[Probe]:
         """Probes online right now (availability is high but not perfect).
 
-        One vectorized availability draw covers the whole fleet.  ``rng``
-        overrides the platform's churn stream (checkpointed campaigns
-        pass a per-day generator).
+        One vectorized availability draw from ``rng`` covers the whole
+        fleet.  Campaign units pass a per-day generator.
         """
-        draws = (rng if rng is not None else self._rng).random(
-            len(self._probes)
-        )
+        draws = rng.random(len(self._probes))
         return [
             self._probes[i] for i in np.flatnonzero(draws < self._availability)
         ]

@@ -12,7 +12,7 @@ got.
 from __future__ import annotations
 
 import typing
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class SpeedcheckerLike(typing.Protocol):
     def countries_with_at_least(self, minimum: int) -> List[str]: ...
 
     def snapshot(
-        self, day: int, hour: int, rng: Optional[np.random.Generator] = None
+        self, day: int, hour: int, rng: np.random.Generator
     ) -> VPSnapshot: ...
 
     def connected_in_country(
@@ -42,8 +42,8 @@ class SpeedcheckerLike(typing.Protocol):
         iso: str,
         snapshot: VPSnapshot,
         count: int,
-        pool: Optional[List[Probe]] = None,
-        rng: Optional[np.random.Generator] = None,
+        pool: List[Probe],
+        rng: np.random.Generator,
     ) -> List[Probe]: ...
 
     @property
@@ -64,6 +64,4 @@ class AtlasLike(typing.Protocol):
 
     name: str
 
-    def connected_probes(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> List[Probe]: ...
+    def connected_probes(self, rng: np.random.Generator) -> List[Probe]: ...

@@ -48,14 +48,13 @@ class SpeedcheckerPlatform:
 
     name = "speedchecker"
 
-    def __init__(self, probes: Sequence[Probe], config: SimulationConfig, rng: np.random.Generator):
+    def __init__(self, probes: Sequence[Probe], config: SimulationConfig):
         self._probes: List[Probe] = list(probes)
         self._by_id: Dict[str, Probe] = {p.probe_id: p for p in self._probes}
         self._by_country: Dict[str, List[Probe]] = {}
         for probe in self._probes:
             self._by_country.setdefault(probe.country, []).append(probe)
         self._config = config
-        self._rng = rng
         self._availability = np.array(
             [probe.availability for probe in self._probes], dtype=np.float64
         )
@@ -63,7 +62,6 @@ class SpeedcheckerPlatform:
             config.platforms.speedchecker_daily_quota, minimum=50
         )
         self._used_today = 0
-        self._snapshots: List[VPSnapshot] = []
 
     # -- fleet inventory ---------------------------------------------------
 
@@ -96,30 +94,20 @@ class SpeedcheckerPlatform:
 
     # -- connectivity churn --------------------------------------------------
 
-    def snapshot(
-        self, day: int, hour: int, rng: Optional[np.random.Generator] = None
-    ) -> VPSnapshot:
-        """Record the currently-connected probe set (4-hourly API sweep).
+    def snapshot(self, day: int, hour: int, rng: np.random.Generator) -> VPSnapshot:
+        """The currently-connected probe set (4-hourly API sweep).
 
-        One vectorized availability draw covers the whole fleet instead
-        of one scalar draw per probe.  ``rng`` overrides the platform's
-        churn stream -- checkpointed campaigns pass a per-day generator
-        so a day's connected set does not depend on earlier days.
+        One vectorized availability draw from ``rng`` covers the whole
+        fleet instead of one scalar draw per probe.  Campaign units pass
+        a per-day generator so a day's connected set does not depend on
+        earlier days.
         """
-        draws = (rng if rng is not None else self._rng).random(
-            len(self._probes)
-        )
+        draws = rng.random(len(self._probes))
         connected = [
             self._probes[i].probe_id
             for i in np.flatnonzero(draws < self._availability)
         ]
-        record = VPSnapshot(day=day, hour=hour, probe_ids=connected)
-        self._snapshots.append(record)
-        return record
-
-    @property
-    def snapshots(self) -> List[VPSnapshot]:
-        return list(self._snapshots)
+        return VPSnapshot(day=day, hour=hour, probe_ids=connected)
 
     def connected_in_country(
         self, iso: str, snapshot: VPSnapshot
@@ -138,25 +126,19 @@ class SpeedcheckerPlatform:
         iso: str,
         snapshot: VPSnapshot,
         count: int,
-        pool: Optional[List[Probe]] = None,
-        rng: Optional[np.random.Generator] = None,
+        pool: List[Probe],
+        rng: np.random.Generator,
     ) -> List[Probe]:
         """The platform's in-built per-region probe selection.
 
-        Returns up to ``count`` connected probes in the country, chosen by
-        the platform (the experimenter cannot pin specific devices).
-        ``pool`` lets a caller that already scanned the country's
-        connected probes skip the second membership pass.  ``rng``
-        overrides the platform's selection stream (checkpointed
-        campaigns pass a per-day generator).
+        Returns up to ``count`` probes of ``pool`` -- the country's
+        connected probes in ``snapshot`` -- chosen by the platform (the
+        experimenter cannot pin specific devices) with draws from
+        ``rng``.
         """
-        if pool is None:
-            pool = self.connected_in_country(iso, snapshot)
         if len(pool) <= count:
             return pool
-        picks = (rng if rng is not None else self._rng).choice(
-            len(pool), size=count, replace=False
-        )
+        picks = rng.choice(len(pool), size=count, replace=False)
         return [pool[int(i)] for i in picks]
 
     @property

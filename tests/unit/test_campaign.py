@@ -33,6 +33,10 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="at least one day"):
             run_campaign(small_world, days=0)
 
+    def test_unknown_platform_rejected(self, small_world):
+        with pytest.raises(ValueError, match="unknown campaign platform"):
+            run_campaign(small_world, days=1, platforms=("ripe",))
+
     def test_platform_selection(self, small_world):
         sc_only = run_campaign(small_world, days=2, platforms=("speedchecker",))
         assert all(

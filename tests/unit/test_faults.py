@@ -239,8 +239,7 @@ class TestFaultPlan:
 def _speedchecker_platform(quota_probes=8):
     config = SimulationConfig(seed=3, scale=0.01)
     probes = [_probe(f"p{i}") for i in range(quota_probes)]
-    rng = np.random.default_rng(5)
-    return SpeedcheckerPlatform(probes, config, rng)
+    return SpeedcheckerPlatform(probes, config)
 
 
 class TestFaultySpeedchecker:
@@ -258,7 +257,13 @@ class TestFaultySpeedchecker:
         faulty = FaultySpeedchecker(platform, faults)
         snapshot = platform.snapshot(0, hour=0, rng=np.random.default_rng(1))
         with pytest.raises(PlatformError):
-            faulty.select_probes("DE", snapshot, 2)
+            faulty.select_probes(
+                "DE",
+                snapshot,
+                2,
+                pool=platform.connected_in_country("DE", snapshot),
+                rng=np.random.default_rng(2),
+            )
         assert faults.events == ["api-error:select_probes"]
 
     def test_zero_rates_pass_through_identically(self):
@@ -303,7 +308,7 @@ class TestFaultySpeedchecker:
 
 class TestFaultyAtlas:
     def test_timeout_raises(self):
-        platform = AtlasPlatform([_probe("a0")], np.random.default_rng(2))
+        platform = AtlasPlatform([_probe("a0")])
         faults = _faults(FaultConfig(api_timeout_rate=1.0), unit="atlas:000")
         faulty = FaultyAtlas(platform, faults)
         with pytest.raises(PlatformTimeout):
@@ -311,7 +316,7 @@ class TestFaultyAtlas:
         assert faults.events == ["api-timeout:connected_probes"]
 
     def test_zero_rates_pass_through(self):
-        platform = AtlasPlatform([_probe("a0")], np.random.default_rng(2))
+        platform = AtlasPlatform([_probe("a0")])
         faulty = FaultyAtlas(platform, _faults(FaultConfig()))
         assert [
             p.probe_id

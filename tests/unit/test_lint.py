@@ -15,11 +15,14 @@ import sys
 from pathlib import Path
 from typing import List
 
+import pytest
+
 from repro.lint import (
     Violation,
     all_rules,
     lint_paths,
     lint_source,
+    lint_sources,
     render_json,
     render_text,
     select_rules,
@@ -514,6 +517,34 @@ class TestWorkerExecSafety:
             "    _CACHE[key] = value\n"
         )
         assert lint_with("EXE001", src, filename=TEST_PATH) == []
+
+
+# -- SVC001: blocking calls under async service handlers ----------------
+
+SERVICE_PATH = "src/repro/service/handlers.py"
+
+
+class TestServiceAsyncPurity:
+    @pytest.mark.parametrize(
+        "imported",
+        [
+            "from repro import run_campaign",
+            "from repro.measure.campaign import run_campaign",
+            "from repro import build_world",
+            "from repro.core.scenario import build_world",
+        ],
+    )
+    def test_flags_sink_under_every_import_path(self, imported):
+        name = imported.rsplit(" ", 1)[-1]
+        src = (
+            f"{imported}\n"
+            "async def handle(request):\n"
+            f"    return {name}(request)\n"
+        )
+        result = lint_sources(
+            [(SERVICE_PATH, src)], rules=select_rules(select=["SVC001"])
+        )
+        assert rule_ids(result.violations) == ["SVC001"]
 
 
 # -- PERF001: per-element loops in batch functions ----------------------

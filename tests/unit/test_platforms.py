@@ -1,5 +1,6 @@
 """Tests for the Speedchecker and Atlas platform mechanics."""
 
+import numpy as np
 import pytest
 
 from repro import build_world
@@ -39,26 +40,20 @@ class TestSpeedcheckerInventory:
 class TestSnapshots:
     def test_snapshot_subset_of_fleet(self, fresh_world):
         platform = fresh_world.speedchecker
-        snapshot = platform.snapshot(day=0, hour=0)
+        snapshot = platform.snapshot(day=0, hour=0, rng=np.random.default_rng(0))
         all_ids = {probe.probe_id for probe in platform.probes}
         assert set(snapshot.probe_ids) <= all_ids
         assert 0 < len(snapshot.probe_ids) < len(all_ids)
 
     def test_snapshots_churn(self, fresh_world):
         platform = fresh_world.speedchecker
-        first = set(platform.snapshot(1, 0).probe_ids)
-        second = set(platform.snapshot(1, 4).probe_ids)
+        first = set(platform.snapshot(1, 0, rng=np.random.default_rng(1)).probe_ids)
+        second = set(platform.snapshot(1, 4, rng=np.random.default_rng(2)).probe_ids)
         assert first != second
-
-    def test_snapshots_recorded(self, fresh_world):
-        platform = fresh_world.speedchecker
-        before = len(platform.snapshots)
-        platform.snapshot(2, 0)
-        assert len(platform.snapshots) == before + 1
 
     def test_connected_in_country(self, fresh_world):
         platform = fresh_world.speedchecker
-        snapshot = platform.snapshot(3, 0)
+        snapshot = platform.snapshot(3, 0, rng=np.random.default_rng(3))
         for probe in platform.connected_in_country("DE", snapshot):
             assert probe.country == "DE"
             assert probe.probe_id in set(snapshot.probe_ids)
@@ -67,15 +62,21 @@ class TestSnapshots:
 class TestSelection:
     def test_select_respects_count(self, fresh_world):
         platform = fresh_world.speedchecker
-        snapshot = platform.snapshot(4, 0)
-        selected = platform.select_probes("DE", snapshot, 2)
+        snapshot = platform.snapshot(4, 0, rng=np.random.default_rng(4))
+        pool = platform.connected_in_country("DE", snapshot)
+        selected = platform.select_probes(
+            "DE", snapshot, 2, pool=pool, rng=np.random.default_rng(5)
+        )
         assert len(selected) <= 2
 
     def test_select_returns_pool_when_small(self, fresh_world):
         platform = fresh_world.speedchecker
-        snapshot = platform.snapshot(5, 0)
+        snapshot = platform.snapshot(5, 0, rng=np.random.default_rng(6))
         pool = platform.connected_in_country("FJ", snapshot)
-        assert len(platform.select_probes("FJ", snapshot, 10_000)) == len(pool)
+        selected = platform.select_probes(
+            "FJ", snapshot, 10_000, pool=pool, rng=np.random.default_rng(7)
+        )
+        assert len(selected) == len(pool)
 
 
 class TestQuota:
@@ -110,7 +111,7 @@ class TestAtlasPlatform:
 
     def test_connected_probes_mostly_online(self, fresh_world):
         platform = fresh_world.atlas
-        connected = platform.connected_probes()
+        connected = platform.connected_probes(rng=np.random.default_rng(8))
         assert len(connected) > 0.5 * len(platform)
 
     def test_probes_in_country(self, fresh_world):
