@@ -56,6 +56,19 @@ QUERY_SPEC = {
     "aggregates": ["count", "mean"],
 }
 
+#: The wide-stream case: a few clients repeat a group-by whose result
+#: has thousands of rows, so each response is a long NDJSON stream and
+#: the per-request cost is streaming, not admission.
+WIDE_CLIENTS = 4
+WIDE_REQUESTS_PER_CLIENT = 10
+WIDE_QUERY_SPEC = {
+    "kind": "pings",
+    "group_by": ["country", "provider", "region", "protocol"],
+    "aggregates": ["count", "mean"],
+}
+WIDE_MIN_ROWS = 1000
+WIDE_P50_BUDGET_MS = 60.0
+
 #: Generous enough that 64 clients x 25 requests never see a 429; the
 #: bucket charge itself still runs on every admission.
 LOAD_POLICY = TenantPolicy(rate=1e6, burst=1e6)
@@ -77,6 +90,7 @@ def results():
             "min_throughput_rps": MIN_THROUGHPUT_RPS,
             "p99_ms": P99_BUDGET_MS,
             "peak_rss_mb": RSS_BUDGET_MB,
+            "wide_p50_ms": WIDE_P50_BUDGET_MS,
         },
     }
     yield data
@@ -184,6 +198,107 @@ def test_query_load_gate(results, service_world, service_store, tmp_path):
     )
     assert rss <= RSS_BUDGET_MB, (
         f"peak RSS {rss:.0f} MB exceeds the {RSS_BUDGET_MB:.0f} MB budget"
+    )
+
+
+async def _raw_exchange(reader, writer, request):
+    """Send one raw request; (status, chunked body bytes as received).
+
+    The wide case compares response bytes instead of decoding NDJSON
+    rows, so the client's JSON parsing stays out of the measurement.
+    """
+    writer.write(request)
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    body = bytearray()
+    while not body.endswith(b"\r\n0\r\n\r\n") and body != b"0\r\n\r\n":
+        chunk = await reader.read(1 << 16)
+        if not chunk:
+            raise ConnectionError("service closed the connection mid-stream")
+        body += chunk
+    return status, bytes(body)
+
+
+def test_wide_stream_gate(results, service_store, tmp_path):
+    """A few clients repeat a thousands-of-rows query: p50 in budget."""
+    payload = json.dumps(
+        {"store": str(service_store), "spec": WIDE_QUERY_SPEC}
+    ).encode("utf-8")
+    request = (
+        b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+        + f"Content-Length: {len(payload)}\r\n\r\n".encode("latin-1")
+        + payload
+    )
+
+    async def scenario():
+        app = ServiceApp(
+            tmp_path / "svc", default_policy=LOAD_POLICY, concurrency=1
+        )
+        port = await app.start("127.0.0.1", 0)
+        client = ServiceClient("127.0.0.1", port)
+        conns = [
+            await asyncio.open_connection("127.0.0.1", port)
+            for _ in range(WIDE_CLIENTS)
+        ]
+        try:
+            # A decoded cold request fills the cache and counts the rows;
+            # its first raw repeat is the reference for every response.
+            status, _, lines = await client.collect(
+                "POST", "/v1/query", json.loads(payload)
+            )
+            assert status == 200, lines
+            rows = lines[0]["row_count"]
+            assert rows == len(lines) - 1
+            status, reference = await _raw_exchange(*conns[0], request)
+            assert status == 200
+
+            async def drive(reader, writer):
+                latencies = []
+                for _ in range(WIDE_REQUESTS_PER_CLIENT):
+                    start = time.perf_counter()
+                    status, body = await _raw_exchange(reader, writer, request)
+                    latencies.append(time.perf_counter() - start)
+                    assert status == 200
+                    assert body == reference
+                return latencies
+
+            load_start = time.perf_counter()
+            per_client = await asyncio.gather(
+                *(drive(reader, writer) for reader, writer in conns)
+            )
+            elapsed = time.perf_counter() - load_start
+        finally:
+            await client.close()
+            for _, writer in conns:
+                writer.close()
+                await writer.wait_closed()
+            await app.close()
+        return rows, len(reference), per_client, elapsed
+
+    rows, body_bytes, per_client, elapsed = asyncio.run(scenario())
+    latencies = [latency for batch in per_client for latency in batch]
+    p50_ms = _percentile(latencies, 0.50) * 1e3
+    results["wide_stream"] = {
+        "clients": WIDE_CLIENTS,
+        "rows": rows,
+        "body_bytes": body_bytes,
+        "requests": len(latencies),
+        "elapsed_s": round(elapsed, 3),
+        "throughput_rps": round(len(latencies) / elapsed, 1),
+        "p50_ms": round(p50_ms, 2),
+        "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 2),
+    }
+    print(
+        f"\n{len(latencies)} wide queries ({rows} rows, {body_bytes} B each) "
+        f"over {WIDE_CLIENTS} clients in {elapsed:.2f}s: p50 {p50_ms:.1f} ms"
+    )
+    assert rows >= WIDE_MIN_ROWS, (
+        f"the wide query returned {rows} rows (expected >= {WIDE_MIN_ROWS})"
+    )
+    assert p50_ms <= WIDE_P50_BUDGET_MS, (
+        f"wide-stream p50 {p50_ms:.1f} ms exceeds the "
+        f"{WIDE_P50_BUDGET_MS:.0f} ms budget"
     )
 
 

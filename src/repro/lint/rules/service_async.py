@@ -84,6 +84,7 @@ _PROJECT_SINKS = frozenset(
         "repro.measure.resilience.execute_plan",
         "repro.exec.runner.execute_plan_parallel",
         "repro.query.builder.execute",
+        "repro.query.builder.execute_lines",
         "repro.store.warehouse.DatasetStore.open",
         "repro.store.warehouse.DatasetStore.snapshot",
     }

@@ -21,7 +21,8 @@ columns:
 - :mod:`repro.query.oracle` -- an exact record-at-a-time reference
   implementation; tests assert engine == oracle.
 - :mod:`repro.query.cache` -- a query-result cache keyed by
-  (manifest digest, journal digest, query digest).
+  (manifest digest, journal digest, query digest), and
+  :func:`result_lines`, the result's NDJSON event encoding.
 - :mod:`repro.query.builder` -- the fluent :class:`QueryBuilder` API
   (``store.query().pings().where(...).group_by(...).run()``).
 
@@ -29,7 +30,8 @@ columns:
 with JSON output.
 """
 
-from repro.query.builder import QueryBuilder, QueryResult, execute
+from repro.query.builder import QueryBuilder, QueryResult, execute, execute_lines
+from repro.query.cache import result_lines
 from repro.query.plan import ScanPlan, ShardPlan, build_plan
 from repro.query.spec import (
     GROUP_KEYS,
@@ -53,6 +55,8 @@ __all__ = [
     "ShardPlan",
     "build_plan",
     "execute",
+    "execute_lines",
+    "result_lines",
     "store_backing",
 ]
 

@@ -130,6 +130,20 @@ class QueryResult:
         return iter(self.rows)
 
 
+def _scan(
+    store: "DatasetStore", spec: QuerySpec, workers: int, cache_state: str
+) -> QueryResult:
+    """Plan, scan and finalize one query (no cache lookup)."""
+    plan = build_plan(store, spec)
+    merged = scan_shards(plan.scanned, spec, workers=workers)
+    return QueryResult(
+        spec=spec,
+        rows=group_rows(spec, merged),
+        plan=plan.as_dict(),
+        meta={"cache": cache_state, "workers": workers},
+    )
+
+
 def execute(
     store: "DatasetStore",
     spec: QuerySpec,
@@ -151,17 +165,28 @@ def execute(
         hit = query_cache.get(store, spec)
         if hit is not None:
             return QueryResult.from_payload(hit, meta={"cache": "hit"})
-    plan = build_plan(store, spec)
-    merged = scan_shards(plan.scanned, spec, workers=workers)
-    result = QueryResult(
-        spec=spec,
-        rows=group_rows(spec, merged),
-        plan=plan.as_dict(),
-        meta={"cache": "miss" if cache else "off", "workers": workers},
-    )
+    result = _scan(store, spec, workers, "miss" if cache else "off")
     if cache:
         query_cache.put(store, spec, result.payload())
     return result
+
+
+def execute_lines(
+    store: "DatasetStore", spec: QuerySpec, workers: int = 1
+) -> bytes:
+    """The result as :func:`~repro.query.cache.result_lines` NDJSON.
+
+    A cache hit returns the entry's stored stream bytes without
+    decoding the payload; a miss scans once and caches what it
+    returns, exactly as :func:`execute` would.
+    """
+    spec.validate()
+    query_cache = QueryCache(store.run_dir)
+    lines = query_cache.get_lines(store, spec)
+    if lines is None:
+        result = _scan(store, spec, workers, "miss")
+        lines = query_cache.put(store, spec, result.payload())
+    return lines
 
 
 class QueryBuilder:

@@ -13,7 +13,8 @@ Endpoints (see ``docs/SERVICE.md`` for schemas):
 - ``POST /v1/query`` -- run a :class:`repro.query.spec.QuerySpec`
   against a finished (or still-running) job's store or an explicit
   store path; results stream as NDJSON rows.  Served from the
-  ``.querycache``-backed warehouse, so repeated specs are cache hits.
+  ``.querycache``-backed warehouse, so repeated specs are cache hits
+  that stream the cache entry's stored bytes.
 - ``GET  /v1/tenants/{tenant}`` -- the tenant's quota accounting.
 
 Identity comes from the ``X-Tenant`` header (default ``"public"``).
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Any, AsyncIterator, Dict, Optional
 
 from repro.measure.quota import QuotaError
-from repro.query.builder import execute as execute_query
+from repro.query.builder import execute_lines
 from repro.service.bridge import ExecutorBridge
 from repro.service.clock import Clock, SystemClock
 from repro.service.http import (
@@ -37,6 +38,7 @@ from repro.service.http import (
     Response,
     Router,
     StreamResponse,
+    frame_lines,
     serve_connection,
 )
 from repro.service.requests import CampaignRequest, QueryRequest, RequestError
@@ -190,45 +192,33 @@ class ServiceApp:
             assert query.store is not None
             run_dir = Path(query.store)
         try:
-            payload = await self.bridge.run_blocking(
-                _run_query, run_dir, query
-            )
+            body = await self.bridge.run_blocking(_run_query, run_dir, query)
         except (FileNotFoundError, StoreError) as exc:
             return Response(404, {"error": str(exc)})
         except ValueError as exc:
             return Response(400, {"error": str(exc)})
-        return StreamResponse(_result_chunks(payload))
+        return StreamResponse(body)
 
     async def handle_tenant(self, request: Request) -> Response:
         state = self.tenants.tenant(request.params["tenant"])
         return Response(200, state.as_dict())
 
 
-def _run_query(run_dir: Path, query: QueryRequest) -> Dict[str, Any]:
-    """Execute one query off-loop (bridge thread).
+def _run_query(run_dir: Path, query: QueryRequest) -> bytes:
+    """Execute one query off-loop (bridge thread); the chunk-framed body.
 
     The store is pinned to one journal prefix first
     (:meth:`repro.store.warehouse.DatasetStore.snapshot`), so querying a
     *live* job's store -- a campaign mid-write -- scans a consistent
-    set of committed units instead of racing the writer.
+    set of committed units instead of racing the writer.  A cache hit
+    frames the entry's stored NDJSON lines as they are; a miss encodes
+    the result once, caches it and frames the same bytes.
     """
     store = DatasetStore.open(run_dir).snapshot()
-    result = execute_query(
-        store, query.spec, workers=query.workers, cache=True
-    )
-    return result.payload()
+    lines = execute_lines(store, query.spec, workers=query.workers)
+    return frame_lines(lines)
 
 
 async def _event_chunks(job: Job) -> AsyncIterator[bytes]:
     async for event in job.events():
-        yield encode_event(event)
-
-
-async def _result_chunks(payload: Dict[str, Any]) -> AsyncIterator[bytes]:
-    rows = payload.get("rows", [])
-    header = {key: value for key, value in payload.items() if key != "rows"}
-    header["event"] = "result"
-    header["row_count"] = len(rows)
-    yield encode_event(header)
-    for index, row in enumerate(rows):
-        yield encode_event({"event": "row", "index": index, **row})
+        yield frame_lines(encode_event(event))

@@ -16,7 +16,17 @@ import asyncio
 import itertools
 import json
 import logging
-from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    AsyncIterator,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 #: Sane bounds for a measurement API; requests beyond them are rejected
 #: rather than buffered.
@@ -117,19 +127,44 @@ class Response:
 
 
 class StreamResponse:
-    """A chunked response whose body is an async iterator of bytes."""
+    """A chunked response whose body is already chunk-framed.
+
+    ``body`` is either one buffer, written with a single write (a query
+    result), or an async iterator of buffers, each written and drained
+    as it arrives (a live event stream).  :func:`frame_lines` produces
+    the framing.
+    """
 
     def __init__(
         self,
-        chunks: AsyncIterator[bytes],
+        body: Union[bytes, AsyncIterator[bytes]],
         status: int = 200,
         content_type: str = "application/x-ndjson",
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         self.status = status
-        self.chunks = chunks
+        self.body = body
         self.content_type = content_type
         self.headers = dict(headers or {})
+
+
+def frame_lines(data: bytes) -> bytes:
+    """Chunk-frame newline-terminated lines: one HTTP chunk per line.
+
+    A final line without a newline is framed as its own chunk too;
+    empty input frames to nothing (a zero-length chunk would end the
+    body).
+    """
+    view = memoryview(data)
+    parts: List[Union[bytes, memoryview]] = []
+    start, end = 0, len(data)
+    while start < end:
+        stop = data.find(b"\n", start) + 1 or end
+        parts.append(b"%x\r\n" % (stop - start))
+        parts.append(view[start:stop])
+        parts.append(b"\r\n")
+        start = stop
+    return b"".join(parts)
 
 
 Handler = Callable[[Request], Awaitable[Any]]
@@ -241,14 +276,13 @@ async def write_response(
                 },
             )
         )
-        await writer.drain()
-        async for chunk in response.chunks:
-            if not chunk:
-                continue
-            writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
-            writer.write(chunk)
-            writer.write(b"\r\n")
+        if isinstance(response.body, bytes):
+            writer.write(response.body)
+        else:
             await writer.drain()
+            async for framed in response.body:
+                writer.write(framed)
+                await writer.drain()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
         return

@@ -24,9 +24,9 @@ the identical sequence regardless of when it connected.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List
 
+from repro.query.cache import json_line
 from repro.store.journal import SKIP_ENTRY, UNIT_ENTRY
 
 Event = Dict[str, Any]
@@ -65,8 +65,6 @@ def error_event(job: str, message: str) -> Event:
     return {"event": "error", "job": job, "error": message}
 
 
-def encode_event(event: Event) -> bytes:
-    """One canonical NDJSON line (sorted keys, compact separators)."""
-    return (
-        json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+#: One canonical NDJSON line (sorted keys, compact separators): the
+#: encoding of query result streams too.
+encode_event = json_line

@@ -151,12 +151,7 @@ class RunJournal:
         snapshot is how multi-accessor readers (``repro.store verify`` /
         ``info --json``, the service's live result tail) stay coherent.
         """
-        prefix = self._read_prefix()
-        return JournalSnapshot(
-            self._path,
-            _parse_prefix(self._path, prefix),
-            hashlib.sha256(prefix).hexdigest(),
-        )
+        return JournalSnapshot(self._path, self._read_prefix())
 
     def begin_entry(self) -> Optional[Dict[str, Any]]:
         """The run's ``begin`` entry, or ``None`` for an empty journal."""
@@ -229,17 +224,21 @@ class JournalSnapshot(RunJournal):
 
     Produced by :meth:`RunJournal.pin`.  All read accessors answer from
     the single read taken at pin time; the write side is disabled, so a
-    snapshot can never be confused for the live journal.
+    snapshot can never be confused for the live journal.  The prefix is
+    hashed at pin time but parsed only on the first :meth:`entries`
+    call, so a reader that needs only the digest (a query-cache hit)
+    never decodes the journal.
     """
 
-    def __init__(
-        self, path: Path, entries: List[Dict[str, Any]], digest: str
-    ) -> None:
+    def __init__(self, path: Path, prefix: bytes) -> None:
         super().__init__(path)
-        self._entries = entries
-        self._digest = digest
+        self._prefix = prefix
+        self._digest = hashlib.sha256(prefix).hexdigest()
+        self._entries: Optional[List[Dict[str, Any]]] = None
 
     def entries(self) -> List[Dict[str, Any]]:
+        if self._entries is None:
+            self._entries = _parse_prefix(self._path, self._prefix)
         return list(self._entries)
 
     def digest(self) -> str:
@@ -257,7 +256,7 @@ class JournalSnapshot(RunJournal):
     def __repr__(self) -> str:
         return (
             f"JournalSnapshot({str(self._path)!r}, "
-            f"entries={len(self._entries)})"
+            f"bytes={len(self._prefix)})"
         )
 
 

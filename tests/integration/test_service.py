@@ -356,3 +356,143 @@ class TestQueryEndpoint:
             json.dumps(expected["rows"])  # normalize tuples/np scalars
         )
         assert streamed_rows == expected_rows
+
+
+#: One spec per response shape: a small group-by, quantiles, ``first``
+#: coordinates, collected value arrays, traceroutes, and no rows at all.
+WIRE_SPECS = {
+    "small-group-by": {"kind": "pings", "group_by": ["provider"]},
+    "quantiles": {
+        "kind": "pings",
+        "group_by": ["country", "provider"],
+        "quantiles": [50, 90],
+    },
+    "first": {
+        "kind": "pings",
+        "group_by": ["region"],
+        "aggregates": ["count", "first"],
+    },
+    "collect": {
+        "kind": "pings",
+        "group_by": ["protocol"],
+        "platform": "atlas",
+        "collect": True,
+    },
+    "traces": {"kind": "traces", "group_by": ["provider"], "quantiles": [50]},
+    "zero-rows": {
+        "kind": "pings",
+        "group_by": ["provider"],
+        "day_range": [40, 41],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def query_run_dir(world, tmp_path_factory):
+    """One finished atlas day (pings and traceroutes) to query."""
+    return run_campaign_checkpointed(
+        world,
+        tmp_path_factory.mktemp("query-store") / "store",
+        days=1,
+        platforms=["atlas"],
+    ).run_dir
+
+
+async def _raw_query(port, body):
+    """One ``POST /v1/query`` on a fresh connection: (status, raw body).
+
+    The body is returned exactly as sent -- chunk-size lines, chunk
+    data and the terminating zero-length chunk included.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        payload = json.dumps(body).encode("utf-8")
+        writer.write(
+            b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Connection: close\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode("latin-1")
+            + payload
+        )
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        if b"transfer-encoding: chunked" not in head.lower():
+            # An error response: a buffered JSON body.
+            return status, await reader.read()
+        raw = bytearray()
+        while True:
+            size_line = await reader.readline()
+            raw += size_line
+            size = int(size_line.strip(), 16)
+            raw += await reader.readexactly(size + 2)
+            if size == 0:
+                return status, bytes(raw)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestQueryWireBytes:
+    @pytest.mark.parametrize("name", sorted(WIRE_SPECS))
+    def test_query_body_is_byte_identical_to_event_oracle(
+        self, tmp_path, world, query_run_dir, name
+    ):
+        """Raw chunked bodies equal the event-at-a-time encoding, on a
+        cold miss and on the cache hit that follows."""
+        import shutil
+
+        from repro.query import QuerySpec, execute
+        from repro.store import DatasetStore
+        from tests.oracles.result_stream import result_stream_bytes
+
+        spec = WIRE_SPECS[name]
+        shutil.rmtree(query_run_dir / ".querycache", ignore_errors=True)
+        body = {"store": str(query_run_dir), "spec": spec}
+
+        async def scenario():
+            app = _app(tmp_path, world)
+            port = await app.start("127.0.0.1", 0)
+            try:
+                miss = await _raw_query(port, body)
+                hit = await _raw_query(port, body)
+            finally:
+                await app.close()
+            return miss, hit
+
+        miss, hit = asyncio.run(scenario())
+        payload = execute(
+            DatasetStore.open(query_run_dir),
+            QuerySpec.from_dict(dict(spec)),
+            cache=False,
+        ).payload()
+        expected = result_stream_bytes(payload)
+        assert miss == (200, expected)
+        assert hit == (200, expected)
+        if name == "zero-rows":
+            assert payload["rows"] == []
+        else:
+            assert payload["rows"]
+
+    def test_concurrent_cold_queries_both_succeed(
+        self, tmp_path, world, query_run_dir
+    ):
+        """Two cold requests for one spec race to fill the cache entry;
+        both get 200 and the same body."""
+        import shutil
+
+        shutil.rmtree(query_run_dir / ".querycache", ignore_errors=True)
+        body = {"store": str(query_run_dir), "spec": WIRE_SPECS["quantiles"]}
+
+        async def scenario():
+            app = ServiceApp(tmp_path / "svc", concurrency=1)
+            port = await app.start("127.0.0.1", 0)
+            try:
+                return await asyncio.gather(
+                    _raw_query(port, body), _raw_query(port, body)
+                )
+            finally:
+                await app.close()
+
+        first, second = asyncio.run(scenario())
+        assert first[0] == second[0] == 200
+        assert first[1] == second[1]

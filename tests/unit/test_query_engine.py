@@ -9,6 +9,8 @@ and the cache-invalidation contract.
 from __future__ import annotations
 
 import json
+import shutil
+import threading
 
 import pytest
 
@@ -30,7 +32,10 @@ from repro.query import (
     QuerySpec,
     build_plan,
     execute,
+    execute_lines,
+    result_lines,
 )
+from repro.query.cache import QueryCache
 from repro.query.cli import main as query_cli
 from repro.query.oracle import oracle_execute
 from repro.store import DatasetStore, read_columns
@@ -365,7 +370,103 @@ class TestQueryCache:
         execute(query_store, QuerySpec(group_by=("country",)), cache=True)
         execute(query_store, QuerySpec(group_by=("day",)), cache=True)
         cache_dir = query_store.run_dir / ".querycache"
-        assert len(list(cache_dir.glob("*.json"))) == 2
+        assert len(list(cache_dir.glob("*.ndjson"))) == 2
+
+    def test_stream_section_is_the_result_lines(self, query_store):
+        spec = QuerySpec(group_by=("country",), quantiles=(50.0,))
+        cold = execute_lines(query_store, spec)
+        warm = execute_lines(query_store, spec)
+        payload = execute(query_store, spec, cache=False).payload()
+        assert cold == warm == result_lines(payload)
+        assert QueryCache(query_store.run_dir).get(query_store, spec) == (
+            json.loads(json.dumps(payload))
+        )
+        lines = [json.loads(line) for line in cold.splitlines()]
+        assert lines[0]["event"] == "result"
+        assert lines[0]["row_count"] == len(payload["rows"]) == len(lines) - 1
+
+    def test_concurrent_cold_misses_all_succeed(self, query_store):
+        """Writers racing on one cold spec never trip over each other."""
+        spec = QuerySpec(group_by=("country", "provider"), quantiles=(50.0,))
+        cache_dir = query_store.run_dir / ".querycache"
+        expected = execute(query_store, spec, cache=False).to_json()
+        threads = 4
+        for _ in range(30):
+            shutil.rmtree(cache_dir, ignore_errors=True)
+            barrier = threading.Barrier(threads)
+            results = []
+            errors = []
+
+            def call():
+                barrier.wait()
+                try:
+                    results.append(execute(query_store, spec).to_json())
+                except Exception as exc:
+                    errors.append(exc)
+
+            workers = [threading.Thread(target=call) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            assert errors == []
+            assert results == [expected] * threads
+        assert list(cache_dir.glob("*.tmp")) == []
+
+
+def _spoil_cache_entry(path, how):
+    """Damage one cache entry the way a crash or an old version would."""
+    raw = path.read_bytes()
+    key_end = raw.index(b"\n") + 1
+    payload_end = raw.index(b"\n", key_end) + 1
+    if how == "torn":
+        # Cut at a line boundary: every line parses, the length does not.
+        path.write_bytes(raw[: raw.rindex(b"\n", 0, len(raw) - 1) + 1])
+    elif how == "corrupt-payload":
+        garbage = b"#" * (payload_end - key_end - 1) + b"\n"
+        path.write_bytes(raw[:key_end] + garbage + raw[payload_end:])
+    else:  # "v1": the single-object entry of cache version 1
+        key = json.loads(raw[:key_end])
+        entry = {
+            "format": key["format"],
+            "version": 1,
+            "manifest": key["manifest"],
+            "journal": key["journal"],
+            "query": key["query"],
+            "payload": json.loads(raw[key_end:payload_end]),
+        }
+        path.write_text(
+            json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        )
+
+
+class TestSpoiledCacheEntries:
+    """Torn, corrupt and old-version entries are misses that heal."""
+
+    @pytest.mark.parametrize("how", ["torn", "corrupt-payload", "v1"])
+    def test_spoiled_entry_is_rescanned_and_rewritten(self, query_store, how):
+        spec = QuerySpec(group_by=("country",), aggregates=("count", "mean"))
+        cold = execute(query_store, spec)
+        path = QueryCache(query_store.run_dir).path_for(spec)
+        good = path.read_bytes()
+        _spoil_cache_entry(path, how)
+        assert path.read_bytes() != good
+        again = execute(query_store, spec)
+        assert again.meta["cache"] == "miss"
+        assert again.to_json() == cold.to_json()
+        assert path.read_bytes() == good
+        assert execute(query_store, spec).meta["cache"] == "hit"
+
+    @pytest.mark.parametrize("how", ["torn", "v1"])
+    def test_spoiled_entry_stream_is_rescanned(self, query_store, how):
+        spec = QuerySpec(group_by=("day",), collect=True)
+        lines = execute_lines(query_store, spec)
+        cache = QueryCache(query_store.run_dir)
+        good = cache.path_for(spec).read_bytes()
+        _spoil_cache_entry(cache.path_for(spec), how)
+        assert cache.get_lines(query_store, spec) is None
+        assert execute_lines(query_store, spec) == lines
+        assert cache.path_for(spec).read_bytes() == good
 
 
 class TestQueryCli:

@@ -154,6 +154,34 @@ class TestConcurrentWriter:
         with pytest.raises(JournalError, match="read-only"):
             snapshot.rewrite([])
 
+    def test_lazy_snapshot_parses_the_pinned_prefix(self, tmp_path):
+        """Entries are parsed on first use, yet still from the pinned
+        read: a journal that grew in between does not leak in."""
+        store = _live_store(tmp_path / "run")
+        pinned_units = RunJournal(store.journal.path).completed_units()
+        snapshot = RunJournal(store.journal.path).pin()
+        digest = snapshot.digest()
+        raw = store.journal.path.read_bytes()
+        store.journal.path.write_bytes(
+            raw[: raw.rindex(b"\n") + 1]
+            + b'{"type":"unit","unit":"atlas:000","shards":[]}\n'
+        )
+        assert snapshot.completed_units() == pinned_units
+        assert [e["unit"] for e in snapshot.entries()] == pinned_units
+        assert snapshot.digest() == digest
+        assert RunJournal(store.journal.path).digest() != digest
+
+    def test_corrupt_pinned_journal_raises_when_read(self, tmp_path):
+        store = _live_store(tmp_path / "run")
+        raw = store.journal.path.read_bytes()
+        store.journal.path.write_bytes(b"{not json\n" + raw)
+        snapshot = RunJournal(store.journal.path).pin()
+        assert len(snapshot.digest()) == 64
+        with pytest.raises(JournalError, match="corrupt journal line"):
+            snapshot.entries()
+        with pytest.raises(JournalError, match="corrupt journal line"):
+            DatasetStore.open(store.run_dir).snapshot().completed_units()
+
     def test_store_snapshot_reads_consistently(self, tmp_path):
         store = _live_store(tmp_path / "run")
         pinned = DatasetStore.open(store.run_dir).snapshot()
