@@ -19,9 +19,12 @@ def test_5g_last_mile(benchmark):
     def compare():
         lte = CellularLastMile(config=config)
         fiveg = FiveGLastMile(config=config, radio_improvement=0.1)
-        lte_draws = np.array([lte.draw(rng).total_ms for _ in range(3000)])
-        fiveg_draws = np.array([fiveg.draw(rng).total_ms for _ in range(3000)])
-        return float(np.median(lte_draws)), float(np.median(fiveg_draws))
+        lte_air, lte_wire = lte.draw_batch(rng, 3000)
+        fiveg_air, fiveg_wire = fiveg.draw_batch(rng, 3000)
+        return (
+            float(np.median(lte_air + lte_wire)),
+            float(np.median(fiveg_air + fiveg_wire)),
+        )
 
     lte_median, fiveg_median = benchmark.pedantic(compare, rounds=2, iterations=1)
     gain = lte_median / fiveg_median

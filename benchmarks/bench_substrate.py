@@ -60,18 +60,6 @@ def test_ping_throughput(benchmark, world):
     assert len(block) == 50
 
 
-def test_ping_throughput_scalar(benchmark, world):
-    """The pre-batch scalar path, kept for speedup comparison."""
-    probe = world.speedchecker.probes[0]
-    region = world.catalog.all()[0]
-
-    def ping_all():
-        for _ in range(50):
-            world.engine.ping(probe, region, samples=4)
-
-    benchmark(ping_all)
-
-
 def test_traceroute_resolution_throughput(benchmark, world, dataset):
     resolver = TracerouteResolver(
         world.topology.registry, world.topology.ixps, rib_coverage=1.0

@@ -49,7 +49,8 @@ def main() -> None:
             model = CellularLastMile(config=config)
         else:
             model = FiveGLastMile(config=config, radio_improvement=improvement)
-        draws = np.array([model.draw(rng).total_ms for _ in range(6000)])
+        air, wire = model.draw_batch(rng, 6000)
+        draws = air + wire
         rows.append(
             [
                 label,

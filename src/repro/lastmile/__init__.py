@@ -1,6 +1,6 @@
 """Last-mile access models: home WiFi, cellular, and managed wired."""
 
-from repro.lastmile.base import AccessKind, LastMileDraw, LastMileModel
+from repro.lastmile.base import AccessKind, LastMileModel
 from repro.lastmile.fiveg import FiveGLastMile
 from repro.lastmile.models import (
     CellularLastMile,
@@ -14,7 +14,6 @@ __all__ = [
     "CellularLastMile",
     "FiveGLastMile",
     "HomeWifiLastMile",
-    "LastMileDraw",
     "LastMileModel",
     "WiredLastMile",
     "model_for",

@@ -10,14 +10,13 @@ serving ISP's AS -- into segments it can observe in traceroutes
 - ``SC cell``: device -> first cellular hop; a single radio+RAN segment.
 - ``Atlas``: a managed wired connection.
 
-A :class:`LastMileDraw` carries both segments so the analysis layer can
-reproduce all four series of the paper's Fig. 7.
+:meth:`LastMileModel.draw_batch` returns both segments so the analysis
+layer can reproduce all four series of the paper's Fig. 7.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
@@ -39,31 +38,6 @@ class AccessKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LastMileDraw:
-    """One latency sample of the last mile, decomposed by segment.
-
-    ``air_ms`` is the wireless leg (zero for wired access); ``wire_ms``
-    is the fixed leg between the home router / base-station aggregation
-    and the ISP edge (zero for cellular, where the radio access network
-    is folded into ``air_ms`` as in the paper's inference).
-    """
-
-    air_ms: float
-    wire_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        """Probe-to-ISP latency (the paper's USR-ISP segment)."""
-        return self.air_ms + self.wire_ms
-
-    def __post_init__(self) -> None:
-        if self.air_ms < 0 or self.wire_ms < 0:
-            raise ValueError(
-                f"last-mile segments must be non-negative: {self.air_ms}, {self.wire_ms}"
-            )
-
-
 #: Parameter vector describing a last-mile model for batched sampling:
 #: ``(air_median, air_sigma, wire_median, wire_sigma,
 #: bufferbloat_probability, bufferbloat_inflation)``.  A zero median
@@ -77,10 +51,6 @@ class LastMileModel(ABC):
     kind: AccessKind
 
     @abstractmethod
-    def draw(self, rng: np.random.Generator) -> LastMileDraw:
-        """One last-mile latency sample."""
-
-    @abstractmethod
     def batch_params(self) -> LastMileParams:
         """The model's :data:`LastMileParams` for vectorized sampling."""
 
@@ -89,9 +59,14 @@ class LastMileModel(ABC):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``n`` last-mile samples as ``(air_ms, wire_ms)`` arrays.
 
-        Distributionally identical to ``n`` :meth:`draw` calls but issues
-        exactly three array draws (air noise, bufferbloat uniforms, wire
-        noise) regardless of ``n``.
+        ``air_ms`` is the wireless leg (zero for wired access, inflated
+        by bufferbloat with the model's probability); ``wire_ms`` is the
+        fixed leg between the home router / base-station aggregation and
+        the ISP edge (zero for cellular, where the radio access network
+        is folded into ``air_ms`` as in the paper's inference).  Their
+        sum is the paper's USR-ISP segment.  Issues exactly three array
+        draws (air noise, bufferbloat uniforms, wire noise) regardless
+        of ``n``.
         """
         air_median, air_sigma, wire_median, wire_sigma, bloat_p, bloat_x = (
             self.batch_params()
@@ -110,28 +85,15 @@ class LastMileModel(ABC):
         raise NotImplementedError
 
 
-def lognormal_ms(
-    median: float, sigma: float, rng: np.random.Generator
-) -> float:
-    """A lognormal latency draw parameterised by its median.
-
-    Latency distributions at the access link are right-skewed with a
-    hard floor; the lognormal is the standard fit in last-mile studies.
-    """
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    return float(median * np.exp(sigma * rng.standard_normal()))
-
-
 def lognormal_ms_array(
     median: float, sigma: float, z: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`lognormal_ms` over pre-drawn standard normals.
+    """Lognormal latencies parameterised by their median, one per
+    pre-drawn standard normal in ``z``.
 
-    A zero ``median`` denotes an absent segment and yields exact zeros
-    (the array analogue of not drawing the segment at all).
+    Latency distributions at the access link are right-skewed with a
+    hard floor; the lognormal is the standard fit in last-mile studies.
+    A zero ``median`` denotes an absent segment and yields exact zeros.
     """
     if median < 0:
         raise ValueError(f"median must be non-negative, got {median}")

@@ -14,16 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import LastMileConfig
-from repro.lastmile.base import (
-    AccessKind,
-    LastMileDraw,
-    LastMileModel,
-    LastMileParams,
-    lognormal_ms,
-)
+from repro.lastmile.base import AccessKind, LastMileModel, LastMileParams
 
 
 @dataclass
@@ -60,12 +52,6 @@ class FiveGLastMile(LastMileModel):
         radio = baseline * self.radio_share * self.radio_improvement
         core = baseline * (1.0 - self.radio_share)
         return radio + core
-
-    def draw(self, rng: np.random.Generator) -> LastMileDraw:
-        air = lognormal_ms(self._median_ms, self.config.cellular_sigma, rng)
-        if rng.random() < self.config.bufferbloat_probability:
-            air *= self.config.bufferbloat_inflation
-        return LastMileDraw(air_ms=air, wire_ms=0.0)
 
     def batch_params(self) -> LastMileParams:
         return (

@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import LastMileConfig
-from repro.lastmile.base import (
-    AccessKind,
-    LastMileDraw,
-    LastMileModel,
-    LastMileParams,
-    lognormal_ms,
-)
+from repro.lastmile.base import AccessKind, LastMileModel, LastMileParams
 
 
 @dataclass
@@ -33,21 +25,6 @@ class HomeWifiLastMile(LastMileModel):
     config: LastMileConfig
     quality: float = 1.0
     kind = AccessKind.HOME_WIFI
-
-    def draw(self, rng: np.random.Generator) -> LastMileDraw:
-        air = lognormal_ms(
-            self.config.wifi_air_median_ms * self.quality,
-            self.config.wifi_air_sigma,
-            rng,
-        )
-        if rng.random() < self.config.bufferbloat_probability:
-            air *= self.config.bufferbloat_inflation
-        wire = lognormal_ms(
-            self.config.home_wire_median_ms * self.quality,
-            self.config.home_wire_sigma,
-            rng,
-        )
-        return LastMileDraw(air_ms=air, wire_ms=wire)
 
     def batch_params(self) -> LastMileParams:
         return (
@@ -73,16 +50,6 @@ class CellularLastMile(LastMileModel):
     quality: float = 1.0
     kind = AccessKind.CELLULAR
 
-    def draw(self, rng: np.random.Generator) -> LastMileDraw:
-        air = lognormal_ms(
-            self.config.cellular_median_ms * self.quality,
-            self.config.cellular_sigma,
-            rng,
-        )
-        if rng.random() < self.config.bufferbloat_probability:
-            air *= self.config.bufferbloat_inflation
-        return LastMileDraw(air_ms=air, wire_ms=0.0)
-
     def batch_params(self) -> LastMileParams:
         return (
             self.config.cellular_median_ms * self.quality,
@@ -104,14 +71,6 @@ class WiredLastMile(LastMileModel):
     config: LastMileConfig
     quality: float = 1.0
     kind = AccessKind.WIRED
-
-    def draw(self, rng: np.random.Generator) -> LastMileDraw:
-        wire = lognormal_ms(
-            self.config.wired_median_ms,
-            self.config.wired_sigma,
-            rng,
-        )
-        return LastMileDraw(air_ms=0.0, wire_ms=wire)
 
     def batch_params(self) -> LastMileParams:
         return (

@@ -1,12 +1,10 @@
-"""The vectorized batch measurement fast path.
+"""The vectorized measurement executors.
 
-The scalar engine executes one :meth:`~repro.measure.engine.MeasurementEngine.ping`
-at a time, drawing 3-5 random numbers per RTT sample from the generator
-one call at a time.  At campaign scale that is millions of scalar RNG
-round-trips per simulated day.  This module provides the batched
-equivalent: a whole request list is planned, grouped by forwarding path,
-and *all* jitter / congestion / ICMP-penalty / last-mile noise for every
-sample of every request is drawn as a handful of NumPy arrays.
+Every ping and traceroute runs through here: a whole request list is
+planned, grouped by forwarding path, and *all* jitter / congestion /
+ICMP-penalty / last-mile noise for every sample of every request is
+drawn as a handful of NumPy arrays, instead of a few scalar RNG calls
+per RTT sample.
 
 The results are columnar :class:`~repro.measure.results.PingBlock` /
 :class:`~repro.measure.results.TraceBlock` objects -- no per-request
@@ -17,10 +15,10 @@ views lazily via :meth:`MeasurementDataset.pings` / ``.traceroutes``.
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
 :func:`repro.measure.latency.sample_path_rtt_block`), so the same seed
-and the same request list always produce an identical block.  The batch
-path is *distributionally* equivalent to the scalar path (same noise
-processes, different stream consumption); the KS-equivalence tests in
-``tests/unit/test_batch.py`` guard that property.
+and the same request list always produce an identical block.  The
+KS-equivalence tests in ``tests/unit/test_batch.py`` compare the batch
+noise against a record-at-a-time reference sampler
+(``tests/oracles/scalar_ping.py``).
 """
 
 from __future__ import annotations
@@ -335,9 +333,10 @@ def execute_traceroute_batch(
     ) * np.array([cycle[day] for day in days.tolist()])
     icmp_p = np.where(icmp_mask, probe_penalty[probe_codes], 0.0)
 
-    # One array draw decides every trace's access switch: a wireless
-    # probe occasionally measures over the other medium (see
-    # MeasurementEngine.measurement_access).
+    # One array draw decides every trace's access switch: Android
+    # devices occasionally switch between WiFi and cellular mid-study (a
+    # section-5 caveat), which flips the trace's first-hop signature and
+    # produces classification false positives.
     switch_p = config.last_mile.access_switch_probability
     switched = probe_wireless[probe_codes] & (rng.random(n) < switch_p)
     lastmile = probe_params[probe_codes]

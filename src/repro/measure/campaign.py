@@ -726,12 +726,13 @@ def run_intercontinental_study(
 
     For every listed country, the available Speedchecker probes ping the
     nearest region of every provider in each target continent -- the
-    paper's setup for probes in under-provisioned continents.
+    paper's setup for probes in under-provisioned continents.  Requests
+    are issued as one batch, ordered by (country, probe, round, region).
     """
-    dataset = MeasurementDataset()
-    engine = world.engine
     catalog = world.catalog
     rng = world.rngs.stream(f"intercontinental.{'.'.join(countries)}")
+    samples = world.config.campaign.pings_per_request
+    requests: List[PingRequest] = []
     for iso in countries:
         probes = world.speedchecker.probes_in_country(iso)
         if len(probes) > max_probes_per_country:
@@ -753,17 +754,14 @@ def run_intercontinental_study(
                         ),
                     )
                     targets[(nearest.provider_code, nearest.region_id)] = nearest
-            for round_index in range(rounds):
-                for region in targets.values():
-                    dataset.add_ping(
-                        engine.ping(
-                            probe,
-                            region,
-                            protocol=Protocol.TCP,
-                            samples=world.config.campaign.pings_per_request,
-                            day=round_index,
-                        )
-                    )
+            requests.extend(
+                PingRequest(probe, region, Protocol.TCP, samples, round_index)
+                for round_index in range(rounds)
+                for region in targets.values()
+            )
+    dataset = MeasurementDataset()
+    if requests:
+        dataset.add_ping_block(world.engine.ping_batch(requests))
     return dataset
 
 
@@ -779,10 +777,9 @@ def run_case_study(
     Used by the peering case studies (DE->UK, JP->IN, UA->UK, BH->IN of
     Figs. 12/13/17/18): every Speedchecker probe in ``source_country``
     pings and traceroutes every cloud region located in ``dest_country``,
-    ``rounds`` times.
+    ``rounds`` times.  The pings and the traceroutes are each issued as
+    one batch, ordered by (round, probe, region).
     """
-    dataset = MeasurementDataset()
-    engine = world.engine
     rng = world.rngs.stream(f"case.{source_country}.{dest_country}")
     probes = world.speedchecker.probes_in_country(source_country)
     if max_probes is not None and len(probes) > max_probes:
@@ -793,21 +790,29 @@ def run_case_study(
     ]
     if not regions:
         raise ValueError(f"no cloud regions in {dest_country!r}")
-    for round_index in range(rounds):
-        for probe in probes:
-            for region in regions:
-                dataset.add_ping(
-                    engine.ping(
-                        probe,
-                        region,
-                        protocol=Protocol.TCP,
-                        samples=world.config.campaign.pings_per_request,
-                        day=round_index,
-                    )
-                )
-                dataset.add_traceroute(
-                    engine.traceroute(
-                        probe, region, protocol=Protocol.ICMP, day=round_index
-                    )
-                )
+    samples = world.config.campaign.pings_per_request
+    visits = [
+        (probe, region, round_index)
+        for round_index in range(rounds)
+        for probe in probes
+        for region in regions
+    ]
+    dataset = MeasurementDataset()
+    if visits:
+        dataset.add_ping_block(
+            world.engine.ping_batch(
+                [
+                    PingRequest(probe, region, Protocol.TCP, samples, day)
+                    for probe, region, day in visits
+                ]
+            )
+        )
+        dataset.add_trace_block(
+            world.engine.traceroute_batch(
+                [
+                    TraceRequest(probe, region, Protocol.ICMP, day)
+                    for probe, region, day in visits
+                ]
+            )
+        )
     return dataset

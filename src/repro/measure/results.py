@@ -642,8 +642,36 @@ def standin_region(meta: MeasurementMeta) -> CloudRegion:
     )
 
 
+def _probe_meta_key(meta: MeasurementMeta) -> Tuple[object, ...]:
+    """Every probe-level meta field: records agreeing on it share a probe."""
+    return (
+        meta.probe_id,
+        meta.platform,
+        meta.country,
+        meta.continent,
+        meta.access,
+        meta.isp_asn,
+        meta.city_key,
+    )
+
+
+def _region_meta_key(meta: MeasurementMeta) -> Tuple[object, ...]:
+    """Every region-level meta field: records agreeing on it share a region."""
+    return (
+        meta.provider_code,
+        meta.region_id,
+        meta.region_country,
+        meta.region_continent,
+    )
+
+
 class _BlockInterner:
-    """Shared probe/region interning for the record -> block builders."""
+    """Shared probe/region interning for the record -> block builders.
+
+    Codes are keyed by every meta field the probe (region) carries, so
+    two records that share an id but disagree elsewhere keep distinct
+    stand-ins; the optional lookup tables are consulted by id alone.
+    """
 
     def __init__(
         self,
@@ -654,24 +682,27 @@ class _BlockInterner:
         self._regions_by_key = regions_by_key or {}
         self.probes: List[Probe] = []
         self.regions: List[CloudRegion] = []
-        self._probe_codes: Dict[str, int] = {}
-        self._region_codes: Dict[Tuple[str, str], int] = {}
+        self._probe_codes: Dict[Tuple[object, ...], int] = {}
+        self._region_codes: Dict[Tuple[object, ...], int] = {}
 
     def probe_code(self, meta: MeasurementMeta) -> int:
-        code = self._probe_codes.get(meta.probe_id)
+        key = _probe_meta_key(meta)
+        code = self._probe_codes.get(key)
         if code is None:
             code = len(self.probes)
             probe = self._probes_by_id.get(meta.probe_id)
             self.probes.append(probe if probe is not None else standin_probe(meta))
-            self._probe_codes[meta.probe_id] = code
+            self._probe_codes[key] = code
         return code
 
     def region_code(self, meta: MeasurementMeta) -> int:
-        key = (meta.provider_code, meta.region_id)
+        key = _region_meta_key(meta)
         code = self._region_codes.get(key)
         if code is None:
             code = len(self.regions)
-            region = self._regions_by_key.get(key)
+            region = self._regions_by_key.get(
+                (meta.provider_code, meta.region_id)
+            )
             self.regions.append(
                 region if region is not None else standin_region(meta)
             )
@@ -770,68 +801,54 @@ def trace_block_from_records(
 
 
 class MeasurementDataset:
-    """An in-memory dataset of ping and traceroute measurements.
+    """An in-memory dataset of columnar ping and traceroute blocks.
 
-    Pings arrive either as individual records (:meth:`add_ping`) or as
-    columnar :class:`PingBlock` batches from the vectorized engine
-    (:meth:`add_ping_block`); :meth:`pings` yields the uniform record
-    view over both backings, so analysis code never needs to know which
-    path produced a measurement.
+    Measurements arrive as :class:`PingBlock` / :class:`TraceBlock`
+    batches (:meth:`add_ping_block`, :meth:`add_trace_block`);
+    :meth:`pings` and :meth:`traceroutes` yield the record views, so
+    analysis code never touches the columns.
     """
 
     def __init__(self) -> None:
-        self._pings: List[PingMeasurement] = []
         self._ping_store = ColumnarPingStore()
-        self._traceroutes: List[TracerouteMeasurement] = []
         self._trace_store = ColumnarTraceStore()
 
     # -- construction -----------------------------------------------------
 
-    def add_ping(self, measurement: PingMeasurement) -> None:
-        self._pings.append(measurement)
-
     def add_ping_block(self, block: PingBlock) -> None:
         self._ping_store.append_block(block)
-
-    def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
-        self._traceroutes.append(measurement)
 
     def add_trace_block(self, block: TraceBlock) -> None:
         self._trace_store.append_block(block)
 
     def extend(self, other: "MeasurementDataset") -> None:
         """Merge another dataset into this one."""
-        self._pings.extend(other._pings)
         self._ping_store.extend(other._ping_store)
-        self._traceroutes.extend(other._traceroutes)
         self._trace_store.extend(other._trace_store)
 
     # -- access ------------------------------------------------------------
 
     @property
     def ping_store(self) -> ColumnarPingStore:
-        """The columnar backing (batched pings only)."""
+        """The columnar ping backing."""
         return self._ping_store
 
     @property
     def trace_store(self) -> ColumnarTraceStore:
-        """The columnar backing (block-backed traceroutes only)."""
+        """The columnar traceroute backing."""
         return self._trace_store
 
     @property
     def ping_count(self) -> int:
-        return len(self._pings) + self._ping_store.request_count
+        return self._ping_store.request_count
 
     @property
     def traceroute_count(self) -> int:
-        return len(self._traceroutes) + self._trace_store.request_count
+        return self._trace_store.request_count
 
     @property
     def ping_sample_count(self) -> int:
-        return (
-            sum(len(p.samples) for p in self._pings)
-            + self._ping_store.sample_count
-        )
+        return self._ping_store.sample_count
 
     def pings(
         self,
@@ -839,8 +856,8 @@ class MeasurementDataset:
         protocol: Optional[Protocol] = None,
         predicate: Optional[Callable[[PingMeasurement], bool]] = None,
     ) -> Iterator[PingMeasurement]:
-        """Iterate pings (scalar records first, then columnar blocks)."""
-        for measurement in self._iter_all_pings():
+        """Iterate ping records in block order."""
+        for measurement in self._ping_store.iter_records():
             if platform is not None and measurement.meta.platform != platform:
                 continue
             if protocol is not None and measurement.protocol is not Protocol(protocol):
@@ -848,10 +865,6 @@ class MeasurementDataset:
             if predicate is not None and not predicate(measurement):
                 continue
             yield measurement
-
-    def _iter_all_pings(self) -> Iterator[PingMeasurement]:
-        yield from self._pings
-        yield from self._ping_store.iter_records()
 
     def traceroutes(
         self,
@@ -859,8 +872,8 @@ class MeasurementDataset:
         protocol: Optional[Protocol] = None,
         predicate: Optional[Callable[[TracerouteMeasurement], bool]] = None,
     ) -> Iterator[TracerouteMeasurement]:
-        """Iterate traceroutes (scalar records first, then columnar blocks)."""
-        for measurement in self._iter_all_traceroutes():
+        """Iterate traceroute records in block order."""
+        for measurement in self._trace_store.iter_records():
             if platform is not None and measurement.meta.platform != platform:
                 continue
             if protocol is not None and measurement.protocol is not Protocol(protocol):
@@ -869,20 +882,8 @@ class MeasurementDataset:
                 continue
             yield measurement
 
-    def _iter_all_traceroutes(self) -> Iterator[TracerouteMeasurement]:
-        yield from self._traceroutes
-        yield from self._trace_store.iter_records()
-
-    def iter_scalar_pings(self) -> Iterator[PingMeasurement]:
-        """The individually-added ping records (no columnar blocks)."""
-        return iter(self._pings)
-
-    def iter_scalar_traceroutes(self) -> Iterator[TracerouteMeasurement]:
-        """The individually-added traceroutes (no columnar blocks)."""
-        return iter(self._traceroutes)
-
     def ping_blocks(self) -> List[PingBlock]:
-        """The columnar ping blocks (batched pings only)."""
+        """The columnar ping blocks."""
         return self._ping_store.blocks
 
     def trace_blocks(self) -> List[TraceBlock]:

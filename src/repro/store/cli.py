@@ -205,7 +205,10 @@ def _command_export(args: argparse.Namespace) -> int:
 
 
 def _command_import(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.input)
+    try:
+        dataset = load_dataset(args.input)
+    except ValueError as exc:  # malformed or truncated input file
+        raise StoreError(str(exc)) from exc
     pings_by_unit: Dict[Tuple[str, int], List[PingMeasurement]] = defaultdict(list)
     traces_by_unit: Dict[Tuple[str, int], List[TracerouteMeasurement]] = (
         defaultdict(list)

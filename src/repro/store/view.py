@@ -106,13 +106,6 @@ class StoredDataset:
 
     # -- columnar accessors (JSONL fast path compatibility) ----------------
 
-    def iter_scalar_pings(self) -> Iterator[PingMeasurement]:
-        """A store holds columnar blocks only; there are no scalar records."""
-        return iter(())
-
-    def iter_scalar_traceroutes(self) -> Iterator[TracerouteMeasurement]:
-        return iter(())
-
     def iter_ping_blocks(self) -> Iterator[PingBlock]:
         """Yield ping blocks lazily, one decoded shard at a time.
 

@@ -12,6 +12,8 @@ from repro.measure.results import (
     PingMeasurement,
     Protocol,
     TracerouteMeasurement,
+    ping_block_from_records,
+    trace_block_from_records,
 )
 
 
@@ -27,7 +29,7 @@ def make_meta(
     region_country: str = "DE",
     region_continent: Continent = Continent.EU,
     day: int = 0,
-    city_key: Tuple[int, int] = (50, 8),
+    city_key: Tuple[int, int] = (25, 4),
 ) -> MeasurementMeta:
     return MeasurementMeta(
         probe_id=probe_id,
@@ -60,12 +62,19 @@ def make_ping(
 def dataset_of(
     *measurements: "PingMeasurement | TracerouteMeasurement",
 ) -> MeasurementDataset:
-    dataset = MeasurementDataset()
+    """A dataset holding the pings as one block and the traces as another."""
+    pings = []
+    traces = []
     for measurement in measurements:
         if isinstance(measurement, PingMeasurement):
-            dataset.add_ping(measurement)
+            pings.append(measurement)
         elif isinstance(measurement, TracerouteMeasurement):
-            dataset.add_traceroute(measurement)
+            traces.append(measurement)
         else:
             raise TypeError(f"unsupported measurement {measurement!r}")
+    dataset = MeasurementDataset()
+    if pings:
+        dataset.add_ping_block(ping_block_from_records(pings))
+    if traces:
+        dataset.add_trace_block(trace_block_from_records(traces))
     return dataset

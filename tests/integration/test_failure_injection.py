@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from repro import SimulationConfig, build_world, run_campaign
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
+from repro.measure.batch import PingRequest, TraceRequest
 from repro.resolve.pipeline import TracerouteResolver
 
 SEED = 41
@@ -30,7 +31,7 @@ class TestDarkTraceroutes:
         )
         probe = world.speedchecker.probes[0]
         region = world.catalog.all()[0]
-        trace = world.engine.traceroute(probe, region)
+        trace = world.engine.traceroute_batch([TraceRequest(probe, region)]).record(0)
         # Destination hop always answers (it is the measured endpoint),
         # every intermediate hop is dark.
         dark = [h for h in trace.hops if not h.responded]
@@ -98,7 +99,7 @@ class TestDegenerateGeography:
         region = world.catalog.all()[0]
         probe = world.speedchecker.probes[0]
         probe.location = region.location  # park the probe on the DC
-        ping = world.engine.ping(probe, region)
+        ping = world.engine.ping_batch([PingRequest(probe, region)]).record(0)
         assert all(sample > 0 for sample in ping.samples)
 
     def test_antipodal_measurement(self):
@@ -109,6 +110,6 @@ class TestDegenerateGeography:
         region = next(
             r for r in world.catalog.all() if r.country == "ES"
         )
-        ping = world.engine.ping(probe, region)
+        ping = world.engine.ping_batch([PingRequest(probe, region)]).record(0)
         # Antipodal RTT stays below a sanity ceiling even with jitter.
         assert all(50.0 < sample < 3000.0 for sample in ping.samples)

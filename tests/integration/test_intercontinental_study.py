@@ -59,3 +59,54 @@ class TestRunIntercontinentalStudy:
             small_world, ["EG"], [Continent.EU], rounds=1
         )
         assert dataset.traceroute_count == 0
+
+    def test_one_ping_block_in_country_probe_round_region_order(self, small_world):
+        dataset = run_intercontinental_study(
+            small_world,
+            ["EG", "KE"],
+            [Continent.EU],
+            rounds=2,
+            max_probes_per_country=2,
+        )
+        assert len(dataset.ping_blocks()) == 1
+        assert dataset.trace_blocks() == []
+        rows = [
+            (
+                ping.meta.country,
+                ping.meta.probe_id,
+                ping.meta.day,
+                (ping.meta.provider_code, ping.meta.region_id),
+            )
+            for ping in dataset.pings()
+        ]
+        probes = list(dict.fromkeys(row[:2] for row in rows))
+        assert {country for country, _ in probes} == {"EG", "KE"}
+        assert [country for country, _ in probes] == sorted(
+            country for country, _ in probes
+        )
+        expected = []
+        for probe in probes:
+            regions = list(dict.fromkeys(row[3] for row in rows if row[:2] == probe))
+            expected += [(*probe, day, region) for day in range(2) for region in regions]
+        assert rows == expected
+
+    def test_country_without_probes_returns_empty_dataset(self, small_world):
+        assert not small_world.speedchecker.probes_in_country("AQ")
+        dataset = run_intercontinental_study(
+            small_world, ["AQ"], [Continent.EU], rounds=2
+        )
+        assert dataset.ping_count == 0
+        assert dataset.ping_blocks() == []
+
+    def test_same_seed_worlds_give_equal_datasets(self):
+        first, second = (
+            run_intercontinental_study(
+                build_world(seed=17, scale=0.008),
+                ["EG"],
+                [Continent.EU],
+                rounds=2,
+                max_probes_per_country=3,
+            )
+            for _ in range(2)
+        )
+        assert list(first.pings()) == list(second.pings())

@@ -1,9 +1,10 @@
 """Tests for the vectorized batch measurement engine.
 
 The batch path must be (a) deterministic under a fixed seed, and
-(b) distributionally equivalent to the scalar path -- same lognormal
-jitter, congestion mixture, ICMP penalty process and last-mile noise,
-just drawn as whole arrays.  Equivalence is bounded with a two-sample
+(b) distributionally equivalent to the record-at-a-time reference
+sampler in ``tests/oracles/scalar_ping.py`` -- same lognormal jitter,
+congestion mixture, ICMP penalty process and last-mile noise, just
+drawn as whole arrays.  Equivalence is bounded with a two-sample
 Kolmogorov-Smirnov distance; determinism is byte-exact.
 """
 
@@ -15,6 +16,8 @@ from repro.analysis.stats import ks_distance
 from repro.measure.batch import PingRequest, TraceRequest
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.results import MeasurementDataset, Protocol
+
+from tests.oracles.scalar_ping import scalar_ping
 
 SEED = 99
 SCALE = 0.006
@@ -35,7 +38,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def scalar_world():
-    """A second same-seed world whose engine runs the scalar path."""
+    """A second same-seed world whose engine feeds the scalar reference."""
     return build_world(seed=SEED, scale=SCALE)
 
 
@@ -77,7 +80,8 @@ class TestBatchScalarEquivalence:
             scalar = [
                 sample
                 for _ in range(SCALAR_REQUESTS)
-                for sample in scalar_world.engine.ping(
+                for sample in scalar_ping(
+                    scalar_world.engine,
                     scalar_probe,
                     region,
                     protocol=protocol,
@@ -199,17 +203,18 @@ class TestBlockBackedDatasetIO:
         ]
         dataset = MeasurementDataset()
         dataset.add_ping_block(world.engine.ping_batch(requests))
-        for trace in world.engine.traceroute_batch(
-            [
-                TraceRequest(
-                    probe=requests[0].probe,
-                    region=region,
-                    protocol=Protocol.ICMP,
-                    day=0,
-                )
-            ]
-        ):
-            dataset.add_traceroute(trace)
+        dataset.add_trace_block(
+            world.engine.traceroute_batch(
+                [
+                    TraceRequest(
+                        probe=requests[0].probe,
+                        region=region,
+                        protocol=Protocol.ICMP,
+                        day=0,
+                    )
+                ]
+            )
+        )
 
         path = tmp_path / "block_backed.jsonl"
         save_dataset(dataset, path)

@@ -131,3 +131,53 @@ class TestCaseStudy:
         dataset = run_case_study(small_world, "DE", "GB", rounds=1, max_probes=2)
         probes = {ping.meta.probe_id for ping in dataset.pings()}
         assert len(probes) <= 2
+
+    def test_one_ping_and_one_trace_block_in_round_probe_region_order(
+        self, small_world
+    ):
+        dataset = run_case_study(small_world, "DE", "GB", rounds=2, max_probes=3)
+        assert len(dataset.ping_blocks()) == 1
+        assert len(dataset.trace_blocks()) == 1
+        regions = [
+            (region.provider_code, region.region_id)
+            for region in small_world.catalog.all()
+            if region.country == "GB"
+        ]
+        pings = list(dataset.pings())
+        probe_ids = list(dict.fromkeys(ping.meta.probe_id for ping in pings))
+        assert len(probe_ids) == 3
+        expected = [
+            (day, probe_id, region)
+            for day in range(2)
+            for probe_id in probe_ids
+            for region in regions
+        ]
+
+        def rows(records):
+            return [
+                (r.meta.day, r.meta.probe_id, (r.meta.provider_code, r.meta.region_id))
+                for r in records
+            ]
+
+        assert rows(pings) == expected
+        assert rows(dataset.traceroutes()) == expected
+        assert {ping.protocol for ping in pings} == {Protocol.TCP}
+        assert {trace.protocol for trace in dataset.traceroutes()} == {Protocol.ICMP}
+
+    def test_source_without_probes_returns_empty_dataset(self, small_world):
+        assert not small_world.speedchecker.probes_in_country("AQ")
+        dataset = run_case_study(small_world, "AQ", "GB", rounds=2)
+        assert dataset.ping_count == 0
+        assert dataset.traceroute_count == 0
+        assert dataset.ping_blocks() == []
+        assert dataset.trace_blocks() == []
+
+    def test_same_seed_worlds_give_equal_datasets(self):
+        first, second = (
+            run_case_study(
+                build_world(seed=5, scale=0.008), "DE", "GB", rounds=2, max_probes=3
+            )
+            for _ in range(2)
+        )
+        assert list(first.pings()) == list(second.pings())
+        assert list(first.traceroutes()) == list(second.traceroutes())

@@ -107,3 +107,32 @@ class TestValidation:
         with open(path, "a") as fh:
             fh.write("\n\n")
         assert load_dataset(path).ping_count == 1
+
+    def test_truncated_file_rejected(self, tmp_path):
+        dataset = dataset_of(
+            make_ping([10.0], probe_id="a"),
+            make_ping([11.0], probe_id="b"),
+            make_ping([12.0], probe_id="c"),
+            trace_fixture(),
+            trace_fixture(),
+        )
+        path = tmp_path / "data.jsonl"
+        save_dataset(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        # Cut at a line boundary: the header and the pings survive.
+        path.write_text("".join(lines[:4]))
+        with pytest.raises(
+            ValueError, match="declares 3 pings and 2 traceroutes, read 3 and 0"
+        ):
+            load_dataset(path)
+
+    def test_city_key_off_the_globe_rejected(self, tmp_path):
+        dataset = dataset_of(make_ping([10.0]))
+        path = tmp_path / "data.jsonl"
+        save_dataset(dataset, path)
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["meta"]["city_key"] = [50, 8]  # latitude 100
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="latitude out of range"):
+            load_dataset(path)

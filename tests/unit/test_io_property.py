@@ -16,6 +16,8 @@ from repro.measure.results import (
     Protocol,
     TraceHop,
     TracerouteMeasurement,
+    ping_block_from_records,
+    trace_block_from_records,
 )
 
 identifiers = st.text(
@@ -36,9 +38,10 @@ metas = st.builds(
     region_country=st.sampled_from(["DE", "IN", "US"]),
     region_continent=st.sampled_from(list(Continent)),
     day=st.integers(min_value=0, max_value=365),
+    # Every grid cell a point on the globe quantizes to (city_key_for).
     city_key=st.tuples(
+        st.integers(min_value=-45, max_value=45),
         st.integers(min_value=-90, max_value=90),
-        st.integers(min_value=-180, max_value=180),
     ),
 )
 
@@ -75,10 +78,8 @@ traces = st.builds(
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_roundtrip_preserves_every_record(ping_list, trace_list):
     dataset = MeasurementDataset()
-    for ping in ping_list:
-        dataset.add_ping(ping)
-    for trace in trace_list:
-        dataset.add_traceroute(trace)
+    dataset.add_ping_block(ping_block_from_records(ping_list))
+    dataset.add_trace_block(trace_block_from_records(trace_list))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.jsonl"
         save_dataset(dataset, path)

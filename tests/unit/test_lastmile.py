@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LastMileConfig
-from repro.lastmile.base import AccessKind, LastMileDraw, lognormal_ms
+from repro.lastmile.base import AccessKind, lognormal_ms_array
 from repro.lastmile.models import (
     CellularLastMile,
     HomeWifiLastMile,
@@ -20,16 +20,6 @@ def config():
     return LastMileConfig()
 
 
-class TestLastMileDraw:
-    def test_total_is_sum(self):
-        draw = LastMileDraw(air_ms=10.0, wire_ms=5.0)
-        assert draw.total_ms == 15.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            LastMileDraw(air_ms=-1.0, wire_ms=0.0)
-
-
 class TestAccessKind:
     def test_wireless_classification(self):
         assert AccessKind.HOME_WIFI.is_wireless
@@ -37,47 +27,51 @@ class TestAccessKind:
         assert not AccessKind.WIRED.is_wireless
 
 
+def totals(model, rng, n):
+    """``n`` USR-ISP last-mile totals (air + wire) drawn from ``model``."""
+    air, wire = model.draw_batch(rng, n)
+    return air + wire
+
+
 class TestLognormal:
     def test_positive(self, rng):
-        assert lognormal_ms(10.0, 0.5, rng) > 0
+        assert lognormal_ms_array(10.0, 0.5, rng.standard_normal(1))[0] > 0
 
     def test_median_property(self, rng):
-        draws = [lognormal_ms(20.0, 0.5, rng) for _ in range(4000)]
+        draws = lognormal_ms_array(20.0, 0.5, rng.standard_normal(4000))
         assert np.median(draws) == pytest.approx(20.0, rel=0.06)
 
     def test_zero_sigma_is_constant(self, rng):
-        assert lognormal_ms(7.0, 0.0, rng) == 7.0
+        assert lognormal_ms_array(7.0, 0.0, rng.standard_normal(1))[0] == 7.0
 
     def test_invalid_params(self, rng):
+        z = rng.standard_normal(1)
         with pytest.raises(ValueError, match="median"):
-            lognormal_ms(0.0, 0.5, rng)
+            lognormal_ms_array(-1.0, 0.5, z)
         with pytest.raises(ValueError, match="sigma"):
-            lognormal_ms(5.0, -0.1, rng)
+            lognormal_ms_array(5.0, -0.1, z)
 
     @given(st.floats(min_value=0.5, max_value=100.0))
     @settings(max_examples=30)
     def test_scales_with_median(self, median):
-        rng = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        a = lognormal_ms(median, 0.4, rng)
-        b = lognormal_ms(2 * median, 0.4, rng2)
+        z = np.random.default_rng(0).standard_normal(1)
+        a = lognormal_ms_array(median, 0.4, z)[0]
+        b = lognormal_ms_array(2 * median, 0.4, z)[0]
         assert b == pytest.approx(2 * a)
 
 
 class TestHomeWifi:
     def test_has_both_segments(self, config, rng):
-        draw = HomeWifiLastMile(config=config).draw(rng)
-        assert draw.air_ms > 0 and draw.wire_ms > 0
+        air, wire = HomeWifiLastMile(config=config).draw_batch(rng, 1)
+        assert air[0] > 0 and wire[0] > 0
 
     def test_median_total_near_paper_range(self, config, rng):
-        model = HomeWifiLastMile(config=config)
-        draws = [model.draw(rng).total_ms for _ in range(3000)]
+        draws = totals(HomeWifiLastMile(config=config), rng, 3000)
         # Paper Fig. 7b: wireless medians ~20-25 ms.
         assert 16.0 <= np.median(draws) <= 28.0
 
     def test_cv_near_half(self, config, rng):
-        model = HomeWifiLastMile(config=config)
-        draws = np.array([model.draw(rng).total_ms for _ in range(4000)])
+        draws = totals(HomeWifiLastMile(config=config), rng, 4000)
         cv = draws.std() / draws.mean()
         assert 0.35 <= cv <= 0.95  # paper Fig. 8: median Cv ~0.5
 
@@ -90,43 +84,33 @@ class TestHomeWifi:
 
 class TestCellular:
     def test_no_wire_segment(self, config, rng):
-        draw = CellularLastMile(config=config).draw(rng)
-        assert draw.wire_ms == 0.0
-        assert draw.air_ms > 0
+        air, wire = CellularLastMile(config=config).draw_batch(rng, 1)
+        assert wire[0] == 0.0
+        assert air[0] > 0
 
     def test_median_near_paper_range(self, config, rng):
-        model = CellularLastMile(config=config)
-        draws = [model.draw(rng).total_ms for _ in range(3000)]
+        draws = totals(CellularLastMile(config=config), rng, 3000)
         assert 16.0 <= np.median(draws) <= 28.0
 
     def test_similar_to_wifi(self, config, rng):
         # Paper: WiFi and cellular behave alike at the last mile.
-        wifi = np.median(
-            [HomeWifiLastMile(config=config).draw(rng).total_ms for _ in range(3000)]
-        )
-        cell = np.median(
-            [CellularLastMile(config=config).draw(rng).total_ms for _ in range(3000)]
-        )
+        wifi = np.median(totals(HomeWifiLastMile(config=config), rng, 3000))
+        cell = np.median(totals(CellularLastMile(config=config), rng, 3000))
         assert abs(wifi - cell) / wifi < 0.35
 
 
 class TestWired:
     def test_no_air_segment(self, config, rng):
-        draw = WiredLastMile(config=config).draw(rng)
-        assert draw.air_ms == 0.0
+        air, _ = WiredLastMile(config=config).draw_batch(rng, 1)
+        assert air[0] == 0.0
 
     def test_median_near_10ms(self, config, rng):
-        model = WiredLastMile(config=config)
-        draws = [model.draw(rng).total_ms for _ in range(3000)]
+        draws = totals(WiredLastMile(config=config), rng, 3000)
         assert 7.0 <= np.median(draws) <= 12.0
 
     def test_much_less_variable_than_wireless(self, config, rng):
-        wired = np.array(
-            [WiredLastMile(config=config).draw(rng).total_ms for _ in range(3000)]
-        )
-        wifi = np.array(
-            [HomeWifiLastMile(config=config).draw(rng).total_ms for _ in range(3000)]
-        )
+        wired = totals(WiredLastMile(config=config), rng, 3000)
+        wifi = totals(HomeWifiLastMile(config=config), rng, 3000)
         assert wired.std() / wired.mean() < 0.5 * (wifi.std() / wifi.mean())
 
 

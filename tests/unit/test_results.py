@@ -1,7 +1,11 @@
 """Tests for repro.measure.results."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from helpers import dataset_of
 
 from repro.cloud.regions import CloudRegion
 from repro.geo.continents import Continent
@@ -16,6 +20,8 @@ from repro.measure.results import (
     Protocol,
     TraceHop,
     TracerouteMeasurement,
+    ping_block_from_records,
+    trace_block_from_records,
 )
 from repro.platforms.probe import Probe
 
@@ -33,7 +39,7 @@ def make_meta(platform="speedchecker", country="DE", provider="GCP"):
         region_country="DE",
         region_continent=Continent.EU,
         day=0,
-        city_key=(50, 8),
+        city_key=(25, 4),
     )
 
 
@@ -85,48 +91,74 @@ class TestTracerouteMeasurement:
         assert not trace.hops[1].responded
 
 
+def colliding_metas():
+    """Metas sharing one probe id and one (provider, region id) that
+    differ in every other probe-level or region-level field."""
+    base = make_meta()
+    return [
+        base,
+        replace(base, platform="atlas"),
+        replace(base, country="FR"),
+        replace(base, continent=Continent.NA),
+        replace(base, access=AccessKind.CELLULAR),
+        replace(base, isp_asn=65001),
+        replace(base, city_key=(24, 1)),
+        replace(base, region_country="NL"),
+        replace(base, region_continent=Continent.NA),
+    ]
+
+
+class TestRecordsToBlocks:
+    def test_colliding_ids_round_trip_pings(self):
+        pings = [
+            PingMeasurement(meta=meta, protocol=Protocol.TCP, samples=(float(i),))
+            for i, meta in enumerate(colliding_metas())
+        ]
+        assert ping_block_from_records(pings).records() == pings
+
+    def test_colliding_ids_round_trip_traces(self):
+        trace = make_trace()
+        traces = [replace(trace, meta=meta) for meta in colliding_metas()]
+        assert trace_block_from_records(traces).records() == traces
+
+    def test_identical_metas_share_one_standin(self):
+        block = ping_block_from_records([make_ping(), make_ping()])
+        assert len(block.probes) == 1
+        assert len(block.regions) == 1
+
+
 class TestMeasurementDataset:
     def test_counts(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
-        dataset.add_ping(make_ping())
-        dataset.add_traceroute(make_trace())
+        dataset = dataset_of(make_ping(), make_ping(), make_trace())
         assert dataset.ping_count == 2
         assert dataset.traceroute_count == 1
         assert dataset.ping_sample_count == 6
 
     def test_platform_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping(platform="speedchecker"))
-        dataset.add_ping(make_ping(platform="atlas"))
+        dataset = dataset_of(
+            make_ping(platform="speedchecker"), make_ping(platform="atlas")
+        )
         assert len(list(dataset.pings(platform="atlas"))) == 1
 
     def test_protocol_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
+        dataset = dataset_of(make_ping())
         assert len(list(dataset.pings(protocol=Protocol.ICMP))) == 0
         assert len(list(dataset.pings(protocol="tcp"))) == 1
 
     def test_predicate_filter(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping(country="DE"))
-        dataset.add_ping(make_ping(country="FR"))
+        dataset = dataset_of(make_ping(country="DE"), make_ping(country="FR"))
         filtered = list(dataset.pings(predicate=lambda m: m.meta.country == "FR"))
         assert len(filtered) == 1
 
     def test_traceroute_filters(self):
-        dataset = MeasurementDataset()
-        dataset.add_traceroute(make_trace(platform="atlas"))
+        dataset = dataset_of(make_trace(platform="atlas"))
         assert len(list(dataset.traceroutes(platform="atlas"))) == 1
         assert len(list(dataset.traceroutes(platform="speedchecker"))) == 0
         assert len(list(dataset.traceroutes(protocol=Protocol.ICMP))) == 1
 
     def test_extend(self):
-        a = MeasurementDataset()
-        a.add_ping(make_ping())
-        b = MeasurementDataset()
-        b.add_ping(make_ping())
-        b.add_traceroute(make_trace())
+        a = dataset_of(make_ping())
+        b = dataset_of(make_ping(), make_trace())
         a.extend(b)
         assert a.ping_count == 2
         assert a.traceroute_count == 1
@@ -233,8 +265,8 @@ class TestColumnarPingStore:
 
 class TestBlockBackedDataset:
     def test_block_and_scalar_pings_merge(self):
-        dataset = MeasurementDataset()
-        dataset.add_ping(make_ping())
+        # A block columnarized from records beside an engine-shaped block.
+        dataset = dataset_of(make_ping())
         dataset.add_ping_block(make_block(requests=2, samples_per_request=3))
         assert dataset.ping_count == 3
         assert dataset.ping_sample_count == 3 + 7

@@ -311,6 +311,66 @@ class TestStoreCli:
         assert header["pings"] == 2
         assert header["traceroutes"] == 1
 
+    def test_import_export_byte_identical_with_colliding_ids(self, tmp_path):
+        """Records sharing a probe id (or a provider and region id) but
+        differing elsewhere keep their own meta through a store."""
+
+        def ping_line(day, samples, **overrides):
+            meta = {
+                "probe_id": "p0",
+                "platform": "speedchecker",
+                "country": "DE",
+                "continent": "EU",
+                "access": "home_wifi",
+                "isp_asn": 65001,
+                "provider_code": "aws",
+                "region_id": "eu-central-1",
+                "region_country": "DE",
+                "region_continent": "EU",
+                "day": day,
+                "city_key": [25, 4],
+            }
+            meta.update(overrides)
+            payload = {
+                "kind": "ping",
+                "meta": meta,
+                "protocol": "tcp",
+                "samples": samples,
+            }
+            return json.dumps(payload) + "\n"
+
+        header = {
+            "kind": "header",
+            "format": "repro-dataset",
+            "version": 1,
+            "pings": 3,
+            "traceroutes": 0,
+        }
+        original = tmp_path / "in.jsonl"
+        original.write_text(
+            json.dumps(header)
+            + "\n"
+            + ping_line(0, [21.0, 22.5])
+            + ping_line(0, [30.25], country="AT", isp_asn=8447, city_key=[24, 8])
+            + ping_line(0, [18.5], region_country="NL", access="cellular")
+        )
+        exported = tmp_path / "out.jsonl"
+        assert store_cli(["import-jsonl", str(original), str(tmp_path / "run")]) == 0
+        assert store_cli(["export-jsonl", str(tmp_path / "run"), str(exported)]) == 0
+        assert exported.read_bytes() == original.read_bytes()
+
+    def test_import_rejects_truncated_file(self, tmp_path, capsys):
+        self._store_with_data(tmp_path / "run")
+        exported = tmp_path / "a.jsonl"
+        assert store_cli(["export-jsonl", str(tmp_path / "run"), str(exported)]) == 0
+        lines = exported.read_text().splitlines(keepends=True)
+        exported.write_text("".join(lines[:2]))  # header + first ping
+        capsys.readouterr()
+        assert store_cli(["import-jsonl", str(exported), str(tmp_path / "run2")]) == 2
+        error = capsys.readouterr().err
+        assert "declares 2 pings and 1 traceroutes, read 1 and 0" in error
+        assert not (tmp_path / "run2").exists()
+
     def test_missing_store_is_an_error(self, tmp_path, capsys):
         assert store_cli(["info", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err

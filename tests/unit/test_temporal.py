@@ -8,7 +8,7 @@ from helpers import dataset_of, make_ping
 from repro.analysis.temporal import temporal_report
 from repro.core.config import SimulationConfig
 from repro.measure.latency import congestion_cycle_multiplier
-from repro.measure.results import MeasurementDataset
+from repro.measure.results import MeasurementDataset, ping_block_from_records
 
 
 class TestCongestionCycle:
@@ -64,7 +64,8 @@ class TestTemporalReport:
 
     def test_thin_days_dropped(self):
         dataset = self.make_dataset()
-        dataset.add_ping(make_ping([500.0], day=99))
+        thin_day = ping_block_from_records([make_ping([500.0], day=99)])
+        dataset.add_ping_block(thin_day)
         report = temporal_report(dataset, min_samples_per_day=8)
         assert 99 not in report.daily_median_ms
 

@@ -133,13 +133,3 @@ class TestTraceBlockParity:
         assert records == []
         _assert_block_matches_oracle([], block, records)
         assert block.hop_offsets.tolist() == [0]
-
-    def test_scalar_traceroute_is_the_single_block_row(self, world):
-        request = _mixed_requests(world)[0]
-        engine = world.engine
-        state = engine.rng.bit_generator.state
-        scalar = engine.traceroute(
-            request.probe, request.region, request.protocol, request.day
-        )
-        engine.rng.bit_generator.state = state
-        assert scalar == engine.traceroute_batch([request])[0]
