@@ -8,7 +8,8 @@ paths plan, and how fast a campaign day executes.
 import numpy as np
 
 from repro import run_campaign
-from repro.measure.batch import PingRequest
+from repro.measure.batch import RequestBatch
+from repro.measure.results import Protocol
 from repro.resolve.pipeline import TracerouteResolver
 from repro.resolve.pyasn import PyASNResolver
 
@@ -49,9 +50,7 @@ def test_ping_throughput(benchmark, world):
     """50 pings through the vectorized batch API (one RNG pass)."""
     probe = world.speedchecker.probes[0]
     region = world.catalog.all()[0]
-    requests = [
-        PingRequest(probe=probe, region=region, samples=4) for _ in range(50)
-    ]
+    requests = RequestBatch.of([(probe, region, Protocol.TCP, 4, 0)] * 50)
 
     def ping_batch():
         return world.engine.ping_batch(requests)

@@ -21,13 +21,13 @@ across units.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.faults.errors import FsyncFailure, PlatformError, PlatformTimeout, TornWrite
 from repro.faults.plan import AttemptFaults
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch
 from repro.measure.engine import BatchEngine
 from repro.measure.results import TRACE_COLUMN_DTYPES, PingBlock, TraceBlock
 from repro.platforms.probe import Probe
@@ -172,80 +172,64 @@ class FaultyEngine:
         self._disconnect_victim: Optional[str] = None
         self._disconnect_after = 0
 
-    def _decide_disconnect(self, requests: Sequence[PingRequest]) -> None:
+    def _decide_disconnect(self, batch: RequestBatch) -> None:
         """One disconnect draw per attempt, over the ping batch."""
         if self._disconnect_decided:
             return
         self._disconnect_decided = True
         config = self._faults.config
-        if config.probe_disconnect_rate <= 0.0 or not requests:
+        if config.probe_disconnect_rate <= 0.0 or not len(batch):
             return
         if float(self._faults.measure.random()) >= config.probe_disconnect_rate:
             return
-        probe_ids = sorted({request.probe.probe_id for request in requests})
-        victim = probe_ids[int(self._faults.measure.integers(len(probe_ids)))]
-        owned = sum(
-            1 for request in requests if request.probe.probe_id == victim
+        probe_ids = sorted(
+            {
+                batch.probes[code].probe_id
+                for code in np.unique(batch.probe_codes).tolist()
+            }
         )
+        victim = probe_ids[int(self._faults.measure.integers(len(probe_ids)))]
+        owned = int(np.count_nonzero(_rows_of(batch, victim)))
         self._disconnect_victim = victim
         self._disconnect_after = int(self._faults.measure.integers(owned))
         self._faults.record(
             f"probe-disconnect:{victim}@{self._disconnect_after}"
         )
 
-    def _surviving_pings(
-        self, requests: List[PingRequest]
-    ) -> List[PingRequest]:
-        if self._disconnect_victim is None:
-            return requests
-        kept: List[PingRequest] = []
-        seen_of_victim = 0
-        for request in requests:
-            if request.probe.probe_id == self._disconnect_victim:
-                if seen_of_victim >= self._disconnect_after:
-                    continue
-                seen_of_victim += 1
-            kept.append(request)
-        return kept
-
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
-        batch = list(requests)
         self._decide_disconnect(batch)
-        batch = self._surviving_pings(batch)
+        if self._disconnect_victim is not None:
+            # The victim answers only the pings issued before it left.
+            victim = _rows_of(batch, self._disconnect_victim)
+            batch = batch.take(
+                ~victim | (np.cumsum(victim) <= self._disconnect_after)
+            )
         config = self._faults.config
-        if config.reply_loss_rate > 0.0 and batch:
-            draws = self._faults.measure.random(len(batch))
-            lost = int(np.count_nonzero(draws < config.reply_loss_rate))
+        if config.reply_loss_rate > 0.0 and len(batch):
+            answered = (
+                self._faults.measure.random(len(batch)) >= config.reply_loss_rate
+            )
+            lost = len(batch) - int(np.count_nonzero(answered))
             if lost:
-                batch = [
-                    request
-                    for request, draw in zip(batch, draws)
-                    if draw >= config.reply_loss_rate
-                ]
+                batch = batch.take(answered)
                 self._faults.record(f"reply-loss:{lost}")
         return self._inner.ping_batch(batch, rng=rng)
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
-        batch = list(requests)
         if self._disconnect_victim is not None:
-            survivors = [
-                request
-                for request in batch
-                if request.probe.probe_id != self._disconnect_victim
-            ]
-            if len(survivors) != len(batch):
-                self._faults.record(
-                    f"trace-drop:{len(batch) - len(survivors)}"
-                )
-            batch = survivors
+            victim = _rows_of(batch, self._disconnect_victim)
+            dropped = int(np.count_nonzero(victim))
+            if dropped:
+                self._faults.record(f"trace-drop:{dropped}")
+                batch = batch.take(~victim)
         block = self._inner.traceroute_batch(batch, rng=rng)
         config = self._faults.config
         if config.trace_truncation_rate <= 0.0 or not len(block):
@@ -264,6 +248,13 @@ class FaultyEngine:
             return block
         self._faults.record(f"trace-truncated:{truncated}")
         return _truncate_hops(block, kept)
+
+
+def _rows_of(batch: RequestBatch, probe_id: str) -> np.ndarray:
+    """The mask of the batch rows measured by probe ``probe_id``."""
+    owned = np.array([probe.probe_id == probe_id for probe in batch.probes], bool)
+    rows: np.ndarray = owned[batch.probe_codes]
+    return rows
 
 
 def _truncate_hops(block: TraceBlock, kept: np.ndarray) -> TraceBlock:

@@ -1,6 +1,6 @@
 """Measurement engines: ping, traceroute, and the campaign scheduler."""
 
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch, RequestTables
 from repro.measure.campaign import (
     run_campaign,
     run_case_study,
@@ -27,13 +27,13 @@ __all__ = [
     "MeasurementEngine",
     "PingBlock",
     "PingMeasurement",
-    "PingRequest",
     "PlannedHop",
     "PlannedPath",
     "Protocol",
     "RegionTargeter",
+    "RequestBatch",
+    "RequestTables",
     "TraceHop",
-    "TraceRequest",
     "TracerouteMeasurement",
     "load_dataset",
     "run_campaign",

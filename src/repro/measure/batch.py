@@ -1,10 +1,11 @@
 """The vectorized measurement executors.
 
-Every ping and traceroute runs through here: a whole request list is
-planned, grouped by forwarding path, and *all* jitter / congestion /
-ICMP-penalty / last-mile noise for every sample of every request is
-drawn as a handful of NumPy arrays, instead of a few scalar RNG calls
-per RTT sample.
+Every ping and traceroute runs through here.  Requests arrive as a
+:class:`RequestBatch` -- integer code columns over probe and region
+tables, no per-request objects.  Each distinct (probe, region) pair is
+planned once, and *all* jitter / congestion / ICMP-penalty / last-mile
+noise for every sample of every request is drawn as a handful of NumPy
+arrays, instead of a few scalar RNG calls per RTT sample.
 
 The results are columnar :class:`~repro.measure.results.PingBlock` /
 :class:`~repro.measure.results.TraceBlock` objects -- no per-request
@@ -15,21 +16,24 @@ views lazily via :meth:`MeasurementDataset.pings` / ``.traceroutes``.
 Determinism: the draw order inside a batch is fixed (core-path arrays
 first, then last-mile arrays -- see
 :func:`repro.measure.latency.sample_path_rtt_block`), so the same seed
-and the same request list always produce an identical block.  The
+and the same request batch always produce an identical block.  The
 KS-equivalence tests in ``tests/unit/test_batch.py`` compare the batch
 noise against a record-at-a-time reference sampler
-(``tests/oracles/scalar_ping.py``).
+(``tests/oracles/scalar_ping.py``); ``tests/unit/test_ping_batch_parity.py``
+holds the executor byte for byte to a request-at-a-time oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.cloud.regions import CloudRegion
+from repro.core.config import SimulationConfig
 from repro.lastmile.base import AccessKind
 from repro.measure.latency import (
     congestion_cycle_multiplier,
@@ -37,12 +41,13 @@ from repro.measure.latency import (
     sample_hop_rtt_block,
     sample_path_rtt_block,
 )
-from repro.measure.path import HOME_ROUTER_ADDRESS
+from repro.measure.path import HOME_ROUTER_ADDRESS, PlannedPath
 from repro.measure.results import (
     PROTOCOL_CODES,
     PingBlock,
     Protocol,
     TraceBlock,
+    ping_block_from_records,
     trace_block_from_records,
 )
 from repro.platforms.probe import Probe
@@ -51,174 +56,204 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.measure.engine import MeasurementEngine
 
 
-@dataclass(frozen=True)
-class PingRequest:
-    """One planned ping request: ``samples`` RTT draws probe -> region."""
+@dataclass(eq=False)
+class RequestBatch:
+    """A columnar list of measurement requests.
 
-    probe: Probe
-    region: CloudRegion
-    protocol: Protocol = Protocol.TCP
-    samples: int = 4
-    day: int = 0
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """One planned traceroute request probe -> region."""
-
-    probe: Probe
-    region: CloudRegion
-    protocol: Protocol = Protocol.ICMP
-    day: int = 0
-
-
-def _intern_endpoints(
-    requests: Sequence[Union[PingRequest, TraceRequest]],
-) -> Tuple[List[Probe], List[CloudRegion], List[int], List[int]]:
-    """The batch's probe and region tables plus each request's codes.
-
-    Codes are assigned in first-seen request order -- inherently
-    sequential, and the RNG draws downstream depend on that order.
+    Row ``i`` asks probe ``probes[probe_codes[i]]`` to measure region
+    ``regions[region_codes[i]]`` over protocol ``protocol_codes[i]`` on
+    ``days[i]``, drawing ``samples[i]`` RTT samples (pings only;
+    traceroutes ignore the column).  The tables may hold entries no row
+    refers to -- a slice or :meth:`take` shares its parent's tables --
+    so the executors intern each block's tables from the rows, in
+    first-seen row order.
     """
-    probes: List[Probe] = []
-    probe_codes_by_id: Dict[str, int] = {}
-    regions: List[CloudRegion] = []
-    region_codes_by_key: Dict[Tuple[str, str], int] = {}
-    probe_codes: List[int] = []
-    region_codes: List[int] = []
-    for request in requests:
-        probe = request.probe
-        probe_code = probe_codes_by_id.setdefault(probe.probe_id, len(probes))
-        if probe_code == len(probes):
-            probes.append(probe)
-        region = request.region
-        region_key = (region.provider_code, region.region_id)
-        region_code = region_codes_by_key.setdefault(region_key, len(regions))
-        if region_code == len(regions):
-            regions.append(region)
-        probe_codes.append(probe_code)
-        region_codes.append(region_code)
-    return probes, regions, probe_codes, region_codes
+
+    probes: List[Probe]
+    regions: List[CloudRegion]
+    probe_codes: np.ndarray
+    region_codes: np.ndarray
+    protocol_codes: np.ndarray
+    samples: np.ndarray
+    days: np.ndarray
+
+    @classmethod
+    def of(
+        cls, requests: Iterable[Tuple[Probe, CloudRegion, Protocol, int, int]]
+    ) -> "RequestBatch":
+        """A batch of ``(probe, region, protocol, samples, day)`` rows."""
+        tables = RequestTables()
+        rows = [
+            (tables.probe_code(p), tables.region_code(r), PROTOCOL_CODES[c], s, d)
+            for p, r, c, s, d in requests
+        ]
+        return tables.batch(*np.array(rows, np.int64).reshape(-1, 5).T)
+
+    def __len__(self) -> int:
+        return len(self.probe_codes)
+
+    def __getitem__(self, rows: slice) -> "RequestBatch":
+        return self.take(rows)
+
+    def take(self, rows: Union[slice, np.ndarray]) -> "RequestBatch":
+        """The batch of the selected rows (an index array, a boolean
+        mask or a slice), in that order, over the same tables."""
+        return RequestBatch(
+            self.probes,
+            self.regions,
+            self.probe_codes[rows],
+            self.region_codes[rows],
+            self.protocol_codes[rows],
+            self.samples[rows],
+            self.days[rows],
+        )
+
+
+class RequestTables:
+    """Probe and region tables interned in first-seen order.
+
+    A scheduler interns each probe and region once and builds its
+    batches from the integer codes -- no per-request objects.
+    """
+
+    def __init__(self) -> None:
+        self.probes: List[Probe] = []
+        self.regions: List[CloudRegion] = []
+        self._probe_codes: Dict[str, int] = {}
+        self._region_codes: Dict[Tuple[str, str], int] = {}
+
+    def probe_code(self, probe: Probe) -> int:
+        code = self._probe_codes.setdefault(probe.probe_id, len(self.probes))
+        if code == len(self.probes):
+            self.probes.append(probe)
+        return code
+
+    def region_code(self, region: CloudRegion) -> int:
+        key = (region.provider_code, region.region_id)
+        code = self._region_codes.setdefault(key, len(self.regions))
+        if code == len(self.regions):
+            self.regions.append(region)
+        return code
+
+    def batch(
+        self,
+        probe_codes: npt.ArrayLike,
+        region_codes: npt.ArrayLike,
+        protocol_codes: npt.ArrayLike,
+        samples: npt.ArrayLike,
+        days: npt.ArrayLike,
+    ) -> RequestBatch:
+        """A batch over these tables; scalar columns are broadcast."""
+        n = np.size(probe_codes)
+
+        def column(values: npt.ArrayLike, dtype: type) -> np.ndarray:
+            return np.array(np.broadcast_to(values, n), dtype)
+
+        return RequestBatch(
+            self.probes,
+            self.regions,
+            column(probe_codes, np.int32),
+            column(region_codes, np.int32),
+            column(protocol_codes, np.uint8),
+            column(samples, np.int32),
+            column(days, np.int32),
+        )
+
+
+def _first_seen(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``codes`` in first-seen order, and each
+    row's index into them."""
+    values, first, inverse = np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return values[order], rank[inverse.reshape(-1)]
+
+
+#: A batch's block tables and codes, each row's pair index, and the
+#: planned path of each distinct pair.
+_Endpoints = Tuple[
+    List[Probe],
+    List[CloudRegion],
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+    List[PlannedPath],
+]
+
+
+def _endpoints(engine: "MeasurementEngine", batch: RequestBatch) -> _Endpoints:
+    """Intern the block tables in first-seen row order and plan each
+    distinct (probe, region) pair once.  The planner sees the pairs in
+    first-seen order, so it draws as if it planned the rows one by one."""
+    probe_table, probe_codes = _first_seen(batch.probe_codes)
+    region_table, region_codes = _first_seen(batch.region_codes)
+    probes = [batch.probes[code] for code in probe_table.tolist()]
+    regions = [batch.regions[code] for code in region_table.tolist()]
+    width = len(regions)
+    pairs, pair_of = _first_seen(probe_codes.astype(np.int64) * width + region_codes)
+    paths = engine.planner.plan_many(
+        [(probes[pair // width], regions[pair % width]) for pair in pairs.tolist()]
+    )
+    return probes, regions, probe_codes, region_codes, pair_of, paths
+
+
+def _cycle_multipliers(days: np.ndarray, config: SimulationConfig) -> np.ndarray:
+    """Each row's weekly congestion-cycle multiplier."""
+    values, day_of = np.unique(days, return_inverse=True)
+    per_day = [congestion_cycle_multiplier(day, config) for day in values.tolist()]
+    multipliers: np.ndarray = np.array(per_day, np.float64)[day_of.reshape(-1)]
+    return multipliers
 
 
 def execute_ping_batch(
     engine: "MeasurementEngine",
-    requests: Sequence[PingRequest],
+    batch: RequestBatch,
     rng: Optional[np.random.Generator] = None,
 ) -> PingBlock:
     """Execute a request batch in one vectorized pass.
 
-    Phase 1 walks the request list once in Python: paths are planned (the
-    planner caches per pair), per-path noise parameters and per-probe
-    last-mile parameters are interned, and probe/region code columns are
-    built.  Phase 2 is pure array math over every sample of every
+    Phase 1 works on the batch's columns: each distinct (probe, region)
+    pair is planned once (the planner caches across batches), and base
+    RTT, jitter sigma and congestion are gathered per pair, last-mile
+    parameters and the ICMP penalty per probe and the congestion cycle
+    per day.  Phase 2 is pure array math over every sample of every
     request.
 
     ``rng`` overrides the engine's measurement stream -- checkpointed
     campaigns pass a per-unit generator so a unit's draws are independent
     of every other unit's.
     """
-    n = len(requests)
+    n = len(batch)
     config = engine.config
     if rng is None:
         rng = engine.rng
     if n == 0:
-        return PingBlock(
-            probes=[],
-            regions=[],
-            probe_codes=np.empty(0, np.int32),
-            region_codes=np.empty(0, np.int32),
-            days=np.empty(0, np.int32),
-            protocol_codes=np.empty(0, np.uint8),
-            sample_values=np.empty(0, np.float64),
-            sample_offsets=np.zeros(1, np.int64),
-        )
+        return ping_block_from_records([])
+    counts = batch.samples.astype(np.int64)
+    if int(counts.min()) < 1:
+        bad = int(counts[np.argmax(counts < 1)])
+        raise ValueError(f"samples must be >= 1, got {bad}")
 
-    # Plan every pair in one vectorized pass; the loop below reuses the
-    # returned paths directly instead of re-probing the planner cache.
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
+    probes, regions, probe_codes, region_codes, pair_of, paths = _endpoints(
+        engine, batch
     )
-
-    probes, regions, probe_code_list, region_code_list = _intern_endpoints(
-        requests
+    protocol_codes = np.ascontiguousarray(batch.protocol_codes)
+    icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
+    base = np.array([path.base_path_rtt_ms for path in paths])[pair_of]
+    sigma = np.array([path.jitter_sigma for path in paths])[pair_of]
+    congestion_p = np.array(
+        [path.congestion_probability for path in paths]
+    )[pair_of] * _cycle_multipliers(batch.days, config)
+    penalty = np.array(
+        [icmp_penalty_probability_for(p.continent, config) for p in probes]
     )
-    #: Per-probe last-mile parameters, indexed by probe code.
-    lastmile_params = [engine.lastmile_model(p).batch_params() for p in probes]
-    #: Per-(continent,) ICMP penalty probability and per-day congestion
-    #: cycle multiplier.
-    icmp_probability: Dict[object, float] = {}
-    cycle_multiplier: Dict[int, float] = {}
-    #: Noise-parameter rows (10 floats), interned per distinct
-    #: (probe, region, protocol, day) combination -- a batch of many
-    #: requests over few paths pays the parameter lookups only once.
-    rows: List[Tuple[float, ...]] = []
-    row_by_key: Dict[Tuple[int, int, int, int], int] = {}
-
-    day_list: List[int] = []
-    proto_list: List[int] = []
-    count_list: List[int] = []
-    row_code_list: List[int] = []
-
-    # Validation plus dict-based row interning -- inherently sequential.
-    for i, request in enumerate(requests):  # repro-lint: disable=PERF001
-        if request.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {request.samples}")
-        probe = request.probe
-        probe_code = probe_code_list[i]
-        region_code = region_code_list[i]
-        proto_code = PROTOCOL_CODES[request.protocol]
-        day = request.day
-        key = (probe_code, region_code, proto_code, day)
-        row_code = row_by_key.get(key)
-        if row_code is None:
-            path = paths[i]
-            multiplier = cycle_multiplier.get(day)
-            if multiplier is None:
-                multiplier = congestion_cycle_multiplier(day, config)
-                cycle_multiplier[day] = multiplier
-            if request.protocol is Protocol.ICMP:
-                penalty = icmp_probability.get(probe.continent)
-                if penalty is None:
-                    penalty = icmp_penalty_probability_for(
-                        probe.continent, config
-                    )
-                    icmp_probability[probe.continent] = penalty
-            else:
-                penalty = 0.0
-            row_code = len(rows)
-            rows.append(
-                (
-                    path.base_path_rtt_ms,
-                    path.jitter_sigma,
-                    path.congestion_probability * multiplier,
-                    penalty,
-                )
-                + lastmile_params[probe_code]
-            )
-            row_by_key[key] = row_code
-
-        day_list.append(day)
-        proto_list.append(proto_code)
-        count_list.append(request.samples)
-        row_code_list.append(row_code)
-
-    probe_codes = np.array(probe_code_list, np.int32)
-    region_codes = np.array(region_code_list, np.int32)
-    days = np.array(day_list, np.int32)
-    protocol_codes = np.array(proto_list, np.uint8)
-    counts = np.array(count_list, np.int64)
-    per_request = np.array(rows, np.float64)[row_code_list]
-    base = per_request[:, 0]
-    sigma = per_request[:, 1]
-    congestion_p = per_request[:, 2]
-    icmp_p = per_request[:, 3]
-    air_median = per_request[:, 4]
-    air_sigma = per_request[:, 5]
-    wire_median = per_request[:, 6]
-    wire_sigma = per_request[:, 7]
-    bloat_p = per_request[:, 8]
-    bloat_x = per_request[:, 9]
+    icmp_p = np.where(icmp, penalty[probe_codes], 0.0)
+    lastmile = np.array(
+        [engine.lastmile_model(p).batch_params() for p in probes], np.float64
+    )[probe_codes]
 
     # -- phase 2: one vectorized pass over every sample --------------------
     offsets = np.zeros(n + 1, np.int64)
@@ -229,7 +264,7 @@ def execute_ping_batch(
         base[sample_of],
         sigma[sample_of],
         congestion_p[sample_of],
-        protocol_codes[sample_of] == PROTOCOL_CODES[Protocol.ICMP],
+        icmp[sample_of],
         icmp_p[sample_of],
         config,
         rng,
@@ -239,18 +274,15 @@ def execute_ping_batch(
     z_air = rng.standard_normal(m)
     u_bloat = rng.random(m)
     z_wire = rng.standard_normal(m)
-    air_median_s = air_median[sample_of]
+    per_sample = lastmile[sample_of]
+    air_median = per_sample[:, 0]
     air = np.where(
-        air_median_s > 0.0,
-        air_median_s * np.exp(air_sigma[sample_of] * z_air),
-        0.0,
+        air_median > 0.0, air_median * np.exp(per_sample[:, 1] * z_air), 0.0
     )
-    air = np.where(u_bloat < bloat_p[sample_of], air * bloat_x[sample_of], air)
-    wire_median_s = wire_median[sample_of]
+    air = np.where(u_bloat < per_sample[:, 4], air * per_sample[:, 5], air)
+    wire_median = per_sample[:, 2]
     wire = np.where(
-        wire_median_s > 0.0,
-        wire_median_s * np.exp(wire_sigma[sample_of] * z_wire),
-        0.0,
+        wire_median > 0.0, wire_median * np.exp(per_sample[:, 3] * z_wire), 0.0
     )
 
     return PingBlock(
@@ -258,7 +290,7 @@ def execute_ping_batch(
         regions=regions,
         probe_codes=probe_codes,
         region_codes=region_codes,
-        days=days,
+        days=np.ascontiguousarray(batch.days),
         protocol_codes=protocol_codes,
         sample_values=np.round(air + wire + core, 3),
         sample_offsets=offsets,
@@ -267,13 +299,13 @@ def execute_ping_batch(
 
 def execute_traceroute_batch(
     engine: "MeasurementEngine",
-    requests: Sequence["TraceRequest"],
+    batch: RequestBatch,
     rng: Optional[np.random.Generator] = None,
 ) -> TraceBlock:
     """Execute a traceroute batch in one vectorized pass.
 
-    Phase 1 plans the paths (cached), interns probes/regions in
-    first-seen request order and gathers per-probe and per-request
+    Phase 1 plans each distinct pair (cached), interns probes/regions
+    in first-seen row order and gathers per-probe and per-request
     parameter columns; one array draw resolves every trace's access
     medium.  Phase 2 samples jitter / congestion /
     ICMP penalty / control-plane processing for *every hop of every
@@ -285,7 +317,7 @@ def execute_traceroute_batch(
     ``rng`` overrides the engine's measurement stream (see
     :func:`execute_ping_batch`).
     """
-    n = len(requests)
+    n = len(batch)
     if n == 0:
         return trace_block_from_records([])
     config = engine.config
@@ -295,13 +327,10 @@ def execute_traceroute_batch(
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
+    probes, regions, probe_codes, region_codes, pair_of, pair_paths = _endpoints(
+        engine, batch
     )
-    probes, regions, probe_code_list, region_code_list = _intern_endpoints(
-        requests
-    )
-    probe_codes = np.array(probe_code_list, np.int32)
+    paths = [pair_paths[pair] for pair in pair_of.tolist()]
 
     # Per-probe columns, indexed by probe code.
     probe_penalty = np.array(
@@ -316,21 +345,15 @@ def execute_traceroute_batch(
     probe_sources = np.array([p.device_address for p in probes], np.int64)
 
     # Per-request columns.
-    days = np.array([request.day for request in requests], np.int32)
-    cycle = {
-        day: congestion_cycle_multiplier(day, config)
-        for day in np.unique(days).tolist()
-    }
-    protocol_codes = np.array(
-        [PROTOCOL_CODES[request.protocol] for request in requests], np.uint8
-    )
+    days = np.ascontiguousarray(batch.days)
+    protocol_codes = np.ascontiguousarray(batch.protocol_codes)
     icmp_mask = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
     counts = np.array([len(path.hop_addresses) for path in paths], np.int64)
     dest_addresses = np.array([path.dest_address for path in paths], np.int64)
     sigma = np.array([path.jitter_sigma for path in paths])
     congestion_p = np.array(
         [path.congestion_probability for path in paths]
-    ) * np.array([cycle[day] for day in days.tolist()])
+    ) * _cycle_multipliers(days, config)
     icmp_p = np.where(icmp_mask, probe_penalty[probe_codes], 0.0)
 
     # One array draw decides every trace's access switch: Android
@@ -341,7 +364,7 @@ def execute_traceroute_batch(
     switched = probe_wireless[probe_codes] & (rng.random(n) < switch_p)
     lastmile = probe_params[probe_codes]
     for i in np.flatnonzero(switched).tolist():
-        probe = requests[i].probe
+        probe = probes[probe_codes[i]]
         other = (
             AccessKind.CELLULAR
             if probe.access is AccessKind.HOME_WIFI
@@ -416,7 +439,7 @@ def execute_traceroute_batch(
         probes=probes,
         regions=regions,
         probe_codes=probe_codes,
-        region_codes=np.array(region_code_list, np.int32),
+        region_codes=region_codes,
         days=days,
         protocol_codes=protocol_codes,
         source_addresses=probe_sources[probe_codes],

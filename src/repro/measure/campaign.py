@@ -7,9 +7,11 @@ Reproduces the paper's operational setup:
 - probe selection per country keys off the day's first connected-VP
   snapshot and is delegated to the platform (probes cannot be pinned);
 - a daily request quota and a self-imposed rate limit bound the volume,
-  truncating the day's assembled request list up front;
-- each day's requests are issued through the vectorized batch engine
-  and land in the dataset as columnar ping and trace blocks;
+  truncating the day's assembled requests up front;
+- each day's requests are built as columnar request batches (integer
+  probe/region codes, no per-request objects), issued through the
+  vectorized batch engine, and land in the dataset as columnar ping
+  and trace blocks;
 - probes target the cloud regions of their own continent, plus the
   neighbouring well-provisioned continents for Africa (EU, NA) and South
   America (NA);
@@ -50,12 +52,12 @@ from repro.faults.config import FaultConfig, RetryPolicy, fault_digest
 from repro.faults.injectors import FaultyAtlas, FaultyEngine, FaultySpeedchecker
 from repro.faults.plan import AttemptFaults, FaultPlan
 from repro.geo.continents import INTERCONTINENTAL_TARGETS, Continent
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestTables
 from repro.measure.engine import BatchEngine, MeasurementEngine
 from repro.measure.path import PathPlanner
 from repro.measure.pathpolicy import FailoverPathPolicy, PathSelectionPolicy
 from repro.measure.resilience import CommitHook, UnitResult, execute_plan
-from repro.measure.results import MeasurementDataset, Protocol
+from repro.measure.results import PROTOCOL_CODES, MeasurementDataset, Protocol
 
 # Re-exported: the traced benchmark run (perfbench/layers.py) looks the
 # columnarizer up here, where campaign units used to call it.
@@ -131,6 +133,10 @@ def target_regions(
             chosen[(region.provider_code, region.region_id)] = region
     return list(chosen.values())
 
+
+#: Protocol codes of the request batches.
+_TCP = PROTOCOL_CODES[Protocol.TCP]
+_ICMP = PROTOCOL_CODES[Protocol.ICMP]
 
 #: Platforms a campaign knows how to schedule.
 CHECKPOINT_PLATFORMS = ("speedchecker", "atlas")
@@ -302,13 +308,14 @@ def _speedchecker_unit(
     )
     sched_rng = rngs.fork("checkpoint.speedchecker.schedule", day)
     budget = min(rate_cap, platform.remaining_quota)
-    requests: List[PingRequest] = []
-    # Each traceroute is tagged with the index of the ping it rides
-    # with, so quota degradation below can keep exactly the traceroutes
-    # whose ping was actually issued.
-    traces: List[Tuple[int, TraceRequest]] = []
+    tables = RequestTables()
+    probe_codes: List[int] = []
+    region_codes: List[int] = []
+    # The ping row each traceroute rides with, so quota degradation
+    # below can keep exactly the traceroutes whose ping was issued.
+    traced: List[int] = []
     for iso in todays:
-        if len(requests) >= budget:
+        if len(probe_codes) >= budget:
             break
         connected = platform.connected_in_country(iso, snapshot)
         visit_count = min(visit_cap, max(2, int(len(connected) * _VISIT_SHARE)))
@@ -316,35 +323,19 @@ def _speedchecker_unit(
             iso, snapshot, visit_count, pool=connected, rng=sched_rng
         )
         for probe in probes:
-            if len(requests) >= budget:
+            if len(probe_codes) >= budget:
                 break
+            probe_code = tables.probe_code(probe)
             for region in target_regions(world, probe, sched_rng):
-                if len(requests) >= budget:
+                if len(probe_codes) >= budget:
                     break
-                requests.append(
-                    PingRequest(
-                        probe=probe,
-                        region=region,
-                        protocol=Protocol.TCP,
-                        samples=campaign.pings_per_request,
-                        day=day,
-                    )
-                )
+                probe_codes.append(probe_code)
+                region_codes.append(tables.region_code(region))
                 if sched_rng.random() < campaign.traceroute_share:
-                    traces.append(
-                        (
-                            len(requests) - 1,
-                            TraceRequest(
-                                probe=probe,
-                                region=region,
-                                protocol=Protocol.ICMP,
-                                day=day,
-                            ),
-                        )
-                    )
-    scheduled = len(requests)
+                    traced.append(len(probe_codes) - 1)
+    scheduled = len(probe_codes)
     issued = scheduled
-    if requests:
+    if scheduled:
         try:
             platform.charge(scheduled)
         except QuotaExhausted:
@@ -355,15 +346,21 @@ def _speedchecker_unit(
             # in the journal -- a half-populated unit must never go
             # uncounted.
             issued = platform.charge_up_to(scheduled)
-    issued_requests = requests[:issued]
-    issued_traces = [trace for index, trace in traces if index < issued]
+    samples = campaign.pings_per_request
+    pings = tables.batch(probe_codes, region_codes, _TCP, samples, day)
+    traced_rows = np.array(traced, np.int64)
+    traces = tables.batch(
+        pings.probe_codes[traced_rows], pings.region_codes[traced_rows], _ICMP, 1, day
+    )
     netfault = find_netfault_engine(engine)
     if netfault is not None:
         # Discard effects journaled by a failed earlier attempt.
         netfault.take_events()
     engine_rng = rngs.fork("checkpoint.speedchecker.engine", day)
-    ping_block = engine.ping_batch(issued_requests, rng=engine_rng)
-    trace_block = engine.traceroute_batch(issued_traces, rng=engine_rng)
+    ping_block = engine.ping_batch(pings[:issued], rng=engine_rng)
+    trace_block = engine.traceroute_batch(
+        traces[: int(np.searchsorted(traced_rows, issued))], rng=engine_rng
+    )
     netfault_events: List[str] = []
     if netfault is not None:
         netfault_events = netfault.take_events()
@@ -392,37 +389,35 @@ def _atlas_unit(
         rng=rngs.fork("checkpoint.atlas.connected", day)
     )
     sched_rng = rngs.fork("checkpoint.atlas.schedule", day)
-    pairs: List[Tuple[Probe, CloudRegion]] = []
-    requests: List[PingRequest] = []
+    tables = RequestTables()
+    probe_codes: List[int] = []
+    region_codes: List[int] = []
     if connected:
         count = max(1, int(len(connected) * _ATLAS_DAILY_SHARE))
         picks = sched_rng.choice(len(connected), size=count, replace=False)
         for pick in picks:
             probe = connected[int(pick)]
+            probe_code = tables.probe_code(probe)
             for region in target_regions(world, probe, sched_rng):
-                pairs.append((probe, region))
-                for protocol in (Protocol.TCP, Protocol.ICMP):
-                    requests.append(
-                        PingRequest(
-                            probe=probe,
-                            region=region,
-                            protocol=protocol,
-                            samples=campaign.pings_per_request,
-                            day=day,
-                        )
-                    )
+                probe_codes.append(probe_code)
+                region_codes.append(tables.region_code(region))
+    # Every (probe, region) pair pings over TCP, then over ICMP.
+    pings = tables.batch(
+        np.repeat(probe_codes, 2),
+        np.repeat(region_codes, 2),
+        np.tile([_TCP, _ICMP], len(probe_codes)),
+        campaign.pings_per_request,
+        day,
+    )
     netfault = find_netfault_engine(engine)
     if netfault is not None:
         # Discard effects journaled by a failed earlier attempt.
         netfault.take_events()
     engine_rng = rngs.fork("checkpoint.atlas.engine", day)
-    ping_block = engine.ping_batch(requests, rng=engine_rng)
-    traceroute_draws = sched_rng.random(len(pairs))
-    traces = [
-        TraceRequest(probe=probe, region=region, protocol=Protocol.TCP, day=day)
-        for (probe, region), draw in zip(pairs, traceroute_draws)
-        if draw < campaign.traceroute_share
-    ]
+    ping_block = engine.ping_batch(pings, rng=engine_rng)
+    traced = sched_rng.random(len(probe_codes)) < campaign.traceroute_share
+    # A traced pair's traceroute is its TCP ping row.
+    traces = pings.take(np.flatnonzero(traced) * 2)
     trace_block = engine.traceroute_batch(traces, rng=engine_rng)
     netfault_events: List[str] = []
     if netfault is not None:
@@ -430,7 +425,7 @@ def _atlas_unit(
     return UnitResult(
         ping_block=ping_block,
         trace_block=trace_block,
-        scheduled_pings=len(requests),
+        scheduled_pings=len(pings),
         scheduled_traceroutes=len(traces),
         netfault_events=netfault_events,
     )
@@ -731,8 +726,10 @@ def run_intercontinental_study(
     """
     catalog = world.catalog
     rng = world.rngs.stream(f"intercontinental.{'.'.join(countries)}")
-    samples = world.config.campaign.pings_per_request
-    requests: List[PingRequest] = []
+    tables = RequestTables()
+    probe_codes: List[int] = []
+    region_codes: List[int] = []
+    days: List[int] = []
     for iso in countries:
         probes = world.speedchecker.probes_in_country(iso)
         if len(probes) > max_probes_per_country:
@@ -754,14 +751,17 @@ def run_intercontinental_study(
                         ),
                     )
                     targets[(nearest.provider_code, nearest.region_id)] = nearest
-            requests.extend(
-                PingRequest(probe, region, Protocol.TCP, samples, round_index)
-                for round_index in range(rounds)
-                for region in targets.values()
-            )
+            probe_code = tables.probe_code(probe)
+            target_codes = [tables.region_code(region) for region in targets.values()]
+            for round_index in range(rounds):
+                probe_codes.extend([probe_code] * len(target_codes))
+                region_codes.extend(target_codes)
+                days.extend([round_index] * len(target_codes))
     dataset = MeasurementDataset()
-    if requests:
-        dataset.add_ping_block(world.engine.ping_batch(requests))
+    if probe_codes:
+        samples = world.config.campaign.pings_per_request
+        batch = tables.batch(probe_codes, region_codes, _TCP, samples, days)
+        dataset.add_ping_block(world.engine.ping_batch(batch))
     return dataset
 
 
@@ -790,29 +790,18 @@ def run_case_study(
     ]
     if not regions:
         raise ValueError(f"no cloud regions in {dest_country!r}")
-    samples = world.config.campaign.pings_per_request
-    visits = [
-        (probe, region, round_index)
-        for round_index in range(rounds)
-        for probe in probes
-        for region in regions
-    ]
+    tables = RequestTables()
+    probe_codes = [tables.probe_code(probe) for probe in probes]
+    region_codes = [tables.region_code(region) for region in regions]
+    # Rows in (round, probe, region) order.
+    row_probes = np.tile(np.repeat(probe_codes, len(regions)), rounds)
+    row_regions = np.tile(region_codes, len(probes) * rounds)
+    row_days = np.repeat(np.arange(rounds), len(probes) * len(regions))
     dataset = MeasurementDataset()
-    if visits:
-        dataset.add_ping_block(
-            world.engine.ping_batch(
-                [
-                    PingRequest(probe, region, Protocol.TCP, samples, day)
-                    for probe, region, day in visits
-                ]
-            )
-        )
-        dataset.add_trace_block(
-            world.engine.traceroute_batch(
-                [
-                    TraceRequest(probe, region, Protocol.ICMP, day)
-                    for probe, region, day in visits
-                ]
-            )
-        )
+    if len(row_probes):
+        samples = world.config.campaign.pings_per_request
+        pings = tables.batch(row_probes, row_regions, _TCP, samples, row_days)
+        traces = tables.batch(row_probes, row_regions, _ICMP, 1, row_days)
+        dataset.add_ping_block(world.engine.ping_batch(pings))
+        dataset.add_trace_block(world.engine.traceroute_batch(traces))
     return dataset

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import typing
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -12,8 +12,7 @@ from repro.core.config import SimulationConfig
 from repro.lastmile.base import AccessKind, LastMileModel
 from repro.lastmile.models import CellularLastMile, HomeWifiLastMile, WiredLastMile
 from repro.measure.batch import (
-    PingRequest,
-    TraceRequest,
+    RequestBatch,
     execute_ping_batch,
     execute_traceroute_batch,
 )
@@ -42,13 +41,13 @@ class BatchEngine(typing.Protocol):
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock: ...
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock: ...
 
@@ -109,23 +108,23 @@ class MeasurementEngine:
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
         """Execute a whole ping request batch in one vectorized pass.
 
-        Each request is ``samples`` end-to-end RTT measurements; every
+        Each row is ``samples`` end-to-end RTT measurements; every
         noise process is drawn as NumPy arrays over all samples at once.
-        Row ``i`` of the returned :class:`PingBlock` is request ``i``;
+        Row ``i`` of the returned :class:`PingBlock` is batch row ``i``;
         feed it to :meth:`MeasurementDataset.add_ping_block`.  ``rng``
         overrides the engine's stream (used by checkpointed campaign
         units).
         """
-        return execute_ping_batch(self, requests, rng=rng)
+        return execute_ping_batch(self, batch, rng=rng)
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
         """Execute a whole traceroute batch in one vectorized pass.
@@ -134,11 +133,11 @@ class MeasurementEngine:
         hop; cellular (and artifact) probes hit the ISP directly --
         exactly the signal the paper's home/cell classifier keys on.
         Every hop of every trace is sampled as flat NumPy arrays.  Row
-        ``i`` of the returned :class:`TraceBlock` is request ``i``.
+        ``i`` of the returned :class:`TraceBlock` is batch row ``i``.
         ``rng`` overrides the engine's stream (used by checkpointed
         campaign units).
         """
-        return execute_traceroute_batch(self, requests, rng=rng)
+        return execute_traceroute_batch(self, batch, rng=rng)
 
     # -- introspection -------------------------------------------------------------
 

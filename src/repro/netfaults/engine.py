@@ -4,8 +4,8 @@
 :class:`repro.faults.injectors.FaultyEngine` does for harness faults,
 but instead of corrupting calls it *reshapes* them around the network:
 
-- a unit's request list is mapped onto the day's virtual-time slots
-  (request ``i`` of ``n`` executes at slot ``i * SLOTS_PER_DAY // n``),
+- a unit's request batch is mapped onto the day's virtual-time slots
+  (row ``i`` of ``n`` executes at slot ``i * SLOTS_PER_DAY // n``),
   splitting the batch into contiguous per-epoch segments;
 - each segment installs its epoch's :class:`EpochTopologyView` on the
   planner's :class:`~repro.measure.pathpolicy.FailoverPathPolicy`, so
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVa
 
 import numpy as np
 
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch, RequestTables
 from repro.measure.engine import BatchEngine
 from repro.measure.pathpolicy import FailoverPathPolicy
 from repro.measure.results import (
@@ -41,9 +41,6 @@ from repro.measure.results import (
 )
 from repro.netfaults.events import SLOTS_PER_DAY, DayTimeline, NetworkEvent
 from repro.netfaults.plan import NetworkFaultPlan
-
-#: Per-request annotation: (epoch, outage event id or -1).
-_Annotation = Tuple[int, int]
 
 _Block = TypeVar("_Block", PingBlock, TraceBlock)
 
@@ -87,33 +84,19 @@ def _merge_blocks(
     shifted into one flat value array.
     """
     schema, offsets_name = _BLOCK_LAYOUT[kind]
-    probes: List[object] = []
-    probe_code_by_id: Dict[str, int] = {}
-    regions: List[object] = []
-    region_code_by_key: Dict[Tuple[str, str], int] = {}
+    tables = RequestTables()
     parts: Dict[str, List[np.ndarray]] = {
         name: [] for name in schema if name != offsets_name
     }
     offset_parts: List[np.ndarray] = [np.zeros(1, np.int64)]
     shift = 0
     for block in segments:
-        probe_remap = np.empty(max(len(block.probes), 1), np.int32)
-        for local, probe in enumerate(block.probes):
-            code = probe_code_by_id.get(probe.probe_id)
-            if code is None:
-                code = len(probes)
-                probes.append(probe)
-                probe_code_by_id[probe.probe_id] = code
-            probe_remap[local] = code
-        region_remap = np.empty(max(len(block.regions), 1), np.int32)
-        for local, region in enumerate(block.regions):
-            key = (region.provider_code, region.region_id)
-            code = region_code_by_key.get(key)
-            if code is None:
-                code = len(regions)
-                regions.append(region)
-                region_code_by_key[key] = code
-            region_remap[local] = code
+        probe_remap = np.array(
+            [tables.probe_code(probe) for probe in block.probes], np.int32
+        )
+        region_remap = np.array(
+            [tables.region_code(region) for region in block.regions], np.int32
+        )
         remapped = {
             "probe_codes": probe_remap[block.probe_codes],
             "region_codes": region_remap[block.region_codes],
@@ -129,12 +112,22 @@ def _merge_blocks(
     }
     merged[offsets_name] = np.concatenate(offset_parts)
     return kind(
-        probes=probes,
-        regions=regions,
+        probes=tables.probes,
+        regions=tables.regions,
         epochs=epochs,
         outage_ids=outage_ids,
         **merged,
     )
+
+
+def _count_effects(
+    effects: Dict[int, List[int]], event_ids: np.ndarray, slot: int
+) -> None:
+    """Add one to ``effects[event][slot]`` per row blamed on ``event``
+    (slot 0 counts drops, slot 1 reroutes); ``-1`` blames nobody."""
+    events, counts = np.unique(event_ids[event_ids >= 0], return_counts=True)
+    for event_id, count in zip(events.tolist(), counts.tolist()):
+        effects.setdefault(event_id, [0, 0])[slot] += count
 
 
 class NetfaultEngine:
@@ -155,7 +148,7 @@ class NetfaultEngine:
         #: are pure given the epoch's view and the policy state, and the
         #: key space collapses hard (probes share ISPs, regions share
         #: networks), so ping and trace batches resolve each scope once
-        #: and the per-request loop is a single dict probe.
+        #: and each distinct (probe, region) pair costs one dict probe.
         self._verdicts: Dict[
             Tuple, Dict[Tuple, Tuple[bool, int, int]]
         ] = {}
@@ -182,52 +175,45 @@ class NetfaultEngine:
 
     # -- segmentation ------------------------------------------------------
 
-    def _segments(
-        self, requests: Sequence
-    ) -> List[Tuple[int, int, int, int]]:
-        """Contiguous (start, end, day, epoch) runs of a request list.
+    def _segments(self, batch: RequestBatch) -> List[Tuple[int, int, int, int]]:
+        """Contiguous (start, end, day, epoch) runs of a request batch.
 
-        Request ``i`` of ``n`` executes at virtual slot
+        Row ``i`` of ``n`` executes at virtual slot
         ``i * SLOTS_PER_DAY // n``; the slot is non-decreasing in ``i``
         so equal-epoch runs are contiguous and the inner engine sees
         each epoch's survivors as one ordered sub-batch.
         """
-        n = len(requests)
-        segments: List[Tuple[int, int, int, int]] = []
-        start = 0
-        current: Optional[Tuple[int, int]] = None
-        slots_day = -1
-        slots: List[int] = []
-        for i in range(n):
-            day = int(requests[i].day)
-            if day != slots_day:
-                timeline = self._plan.timeline(day)
-                slots = [
-                    timeline.epoch_at(slot) for slot in range(SLOTS_PER_DAY)
-                ]
-                slots_day = day
-            epoch = slots[i * SLOTS_PER_DAY // n]
-            if current is None:
-                current = (day, epoch)
-            elif (day, epoch) != current:
-                segments.append((start, i, current[0], current[1]))
-                start = i
-                current = (day, epoch)
-        if current is not None:
-            segments.append((start, n, current[0], current[1]))
-        return segments
+        n = len(batch)
+        if not n:
+            return []
+        days = batch.days.astype(np.int64)
+        slots = np.arange(n, dtype=np.int64) * SLOTS_PER_DAY // n
+        epochs = np.empty(n, np.int64)
+        for day in np.unique(days).tolist():
+            timeline = self._plan.timeline(day)
+            by_slot = np.array(
+                [timeline.epoch_at(slot) for slot in range(SLOTS_PER_DAY)]
+            )
+            rows = days == day
+            epochs[rows] = by_slot[slots[rows]]
+        breaks = np.flatnonzero((np.diff(days) != 0) | (np.diff(epochs) != 0))
+        bounds = [0, *(breaks + 1).tolist(), n]
+        return [
+            (start, end, int(days[start]), int(epochs[start]))
+            for start, end in zip(bounds, bounds[1:])
+        ]
 
     def _filter_segment(
         self,
-        requests: Sequence,
+        batch: RequestBatch,
         timeline: DayTimeline,
         epoch: int,
         view,
-    ) -> Tuple[List, List[_Annotation], Dict[int, List[int]]]:
-        """Apply one epoch's events to a segment's requests.
+    ) -> Tuple[RequestBatch, np.ndarray, Dict[int, List[int]]]:
+        """Apply one epoch's events to a segment's rows.
 
-        Returns the surviving requests, their (epoch, outage id)
-        annotations, and per-event (dropped, rerouted) counters.
+        Returns the surviving rows, their rerouting event ids (``-1``
+        when unaffected), and per-event (dropped, rerouted) counters.
         """
         topology = self._plan.topology
         outages = timeline.outages(epoch)
@@ -238,93 +224,104 @@ class NetfaultEngine:
             if event.edge is not None
         )
         effects: Dict[int, List[int]] = {}
-        survivors: List = []
-        annotations: List[_Annotation] = []
+        n = len(batch)
+        reroutes = np.full(n, -1, np.int32)
         outage_keys = {
             (event.network, event.continent): event.event_id
             for event in reversed(outages)
         }
         if not outage_keys and not removed:
             # Event-free epoch: everything survives on baseline routes.
-            return (
-                list(requests),
-                [(epoch, -1)] * len(requests),
-                effects,
-            )
-        network_of = self._network_of
-        has_outages = bool(outage_keys)
-        # Scopes whose table is the baseline object need no per-pair
-        # verdict at all: every measured pair has a baseline route
-        # (the planner raises otherwise), and a baseline table proves no
-        # selected path rides a removed edge, so the verdict is always
-        # (keep, no reroute).  Only valid while no path is explicitly
-        # marked down -- down marks are per (isp, network, continent),
-        # finer than scope.
-        scope_fastpath = bool(removed) and not self._policy.down_paths
-        verdicts: Dict[Tuple, Tuple[bool, int, int]] = {}
+            return batch, reroutes, effects
+        keep = np.ones(n, bool)
+        if outage_keys:
+            network_of = self._network_of
+            region_outage = []
+            for region in batch.regions:
+                network = network_of.get(region.provider_code)
+                if network is None:
+                    network = topology.network_code(region.provider_code)
+                    network_of[region.provider_code] = network
+                region_outage.append(
+                    outage_keys.get((network, region.continent), -1)
+                )
+            outage_of = np.array(region_outage, np.int64)[batch.region_codes]
+            keep = outage_of < 0
+            _count_effects(effects, outage_of[~keep], 0)
         if removed:
+            rows = np.flatnonzero(keep)
+            width = len(batch.regions)
+            pairs, pair_of = np.unique(
+                batch.probe_codes[rows].astype(np.int64) * width
+                + batch.region_codes[rows],
+                return_inverse=True,
+            )
             verdicts = self._verdicts.setdefault(
                 (timeline.day, epoch, self._policy.cache_token()), {}
             )
-        keep_verdict = (True, -1, -1)
-        for request in requests:
-            probe = request.probe
-            region = request.region
-            provider_code = region.provider_code
-            if has_outages:
-                network = network_of.get(provider_code)
-                if network is None:
-                    network = topology.network_code(provider_code)
-                    network_of[provider_code] = network
-                outage_id = outage_keys.get((network, region.continent))
-                if outage_id is not None:
-                    effects.setdefault(outage_id, [0, 0])[0] += 1
-                    continue
-            reroute_id = -1
-            if removed:
-                vkey = (provider_code, probe.isp_asn, probe.continent)
-                verdict = verdicts.get(vkey)
-                if verdict is None:
-                    if scope_fastpath and (
-                        view.scope_token(provider_code, probe.continent)
-                        is None
-                    ):
-                        verdict = keep_verdict
-                    elif (
-                        self._policy.as_path(
-                            topology,
-                            probe.isp_asn,
-                            provider_code,
-                            probe.continent,
-                        )
-                        is None
-                    ):
-                        blame = (
-                            graph_events[0].event_id if graph_events else -1
-                        )
-                        verdict = (False, blame, -1)
-                    else:
-                        verdict = (
-                            True,
-                            -1,
-                            self._reroute_event(
-                                topology,
-                                probe,
-                                provider_code,
-                                graph_events,
-                            ),
-                        )
-                    verdicts[vkey] = verdict
-                keep, blame, reroute_id = verdict
-                if not keep:
-                    if blame >= 0:
-                        effects.setdefault(blame, [0, 0])[0] += 1
-                    continue
-                if reroute_id >= 0:
-                    effects.setdefault(reroute_id, [0, 0])[1] += 1
-            survivors.append(request)
-            annotations.append((epoch, reroute_id))
-        return survivors, annotations, effects
+            pair_verdicts = np.array(
+                [
+                    self._verdict(
+                        verdicts,
+                        batch.probes[pair // width],
+                        batch.regions[pair % width].provider_code,
+                        view,
+                        graph_events,
+                    )
+                    for pair in pairs.tolist()
+                ],
+                np.int64,
+            ).reshape(-1, 3)[pair_of.reshape(-1)]
+            kept = pair_verdicts[:, 0] == 1
+            _count_effects(effects, pair_verdicts[~kept, 1], 0)
+            _count_effects(effects, pair_verdicts[kept, 2], 1)
+            keep[rows] = kept
+            reroutes[rows] = np.where(kept, pair_verdicts[:, 2], -1)
+        return batch.take(keep), reroutes[keep], effects
+
+    def _verdict(
+        self,
+        verdicts: Dict[Tuple, Tuple[bool, int, int]],
+        probe,
+        provider_code: str,
+        view,
+        graph_events: Tuple[NetworkEvent, ...],
+    ) -> Tuple[bool, int, int]:
+        """(keep, blame event id, reroute event id) of one scope.
+
+        Scopes whose table is the baseline object need no per-pair
+        verdict at all: every measured pair has a baseline route (the
+        planner raises otherwise), and a baseline table proves no
+        selected path rides a removed edge, so the verdict is always
+        (keep, no reroute).  Only valid while no path is explicitly
+        marked down -- down marks are per (isp, network, continent),
+        finer than scope.
+        """
+        key = (provider_code, probe.isp_asn, probe.continent)
+        verdict = verdicts.get(key)
+        if verdict is not None:
+            return verdict
+        topology = self._plan.topology
+        if not self._policy.down_paths and (
+            view.scope_token(provider_code, probe.continent) is None
+        ):
+            verdict = (True, -1, -1)
+        elif (
+            self._policy.as_path(
+                topology, probe.isp_asn, provider_code, probe.continent
+            )
+            is None
+        ):
+            blame = graph_events[0].event_id if graph_events else -1
+            verdict = (False, blame, -1)
+        else:
+            verdict = (
+                True,
+                -1,
+                self._reroute_event(topology, probe, provider_code, graph_events),
+            )
+        verdicts[key] = verdict
+        return verdict
 
     @staticmethod
     def _reroute_event(
@@ -367,57 +364,53 @@ class NetfaultEngine:
 
     def ping_batch(
         self,
-        requests: Sequence[PingRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> PingBlock:
-        return self._execute(PingBlock, self._inner.ping_batch, requests, rng)
+        return self._execute(PingBlock, self._inner.ping_batch, batch, rng)
 
     def traceroute_batch(
         self,
-        requests: Sequence[TraceRequest],
+        batch: RequestBatch,
         rng: Optional[np.random.Generator] = None,
     ) -> TraceBlock:
-        return self._execute(
-            TraceBlock, self._inner.traceroute_batch, requests, rng
-        )
+        return self._execute(TraceBlock, self._inner.traceroute_batch, batch, rng)
 
     def _execute(
         self,
         kind: Type[_Block],
         run: Callable[..., _Block],
-        requests: Sequence,
+        batch: RequestBatch,
         rng: Optional[np.random.Generator],
     ) -> _Block:
         """Run each epoch segment's survivors through ``run``; stamp the
         (epoch, outage id) provenance of every returned row."""
         blocks: List[_Block] = []
-        annotations: List[_Annotation] = []
+        epochs: List[np.ndarray] = [np.empty(0, np.int32)]
+        outage_ids: List[np.ndarray] = [np.empty(0, np.int32)]
         try:
-            for start, end, day, epoch in self._segments(requests):
+            for start, end, day, epoch in self._segments(batch):
                 timeline = self._plan.timeline(day)
                 view = self._plan.view(timeline.removed_edges(epoch))
                 self._policy.set_view(view)
-                survivors, notes, effects = self._filter_segment(
-                    requests[start:end], timeline, epoch, view
+                survivors, reroutes, effects = self._filter_segment(
+                    batch[start:end], timeline, epoch, view
                 )
                 self._journal(timeline, effects)
-                if survivors:
+                if len(survivors):
                     blocks.append(run(survivors, rng=rng))
-                    annotations.extend(notes)
+                    epochs.append(np.full(len(survivors), epoch, np.int32))
+                    outage_ids.append(reroutes)
         finally:
             self._policy.set_view(None)
-        epochs = np.array(
-            [note[0] for note in annotations], np.int32
-        )
-        outage_ids = np.array(
-            [note[1] for note in annotations], np.int32
-        )
+        epoch_column = np.concatenate(epochs)
+        outage_column = np.concatenate(outage_ids)
         if len(blocks) == 1:
             block = blocks[0]
-            block.epochs = epochs
-            block.outage_ids = outage_ids
+            block.epochs = epoch_column
+            block.outage_ids = outage_column
             return block
-        return _merge_blocks(kind, blocks, epochs, outage_ids)
+        return _merge_blocks(kind, blocks, epoch_column, outage_column)
 
     def __repr__(self) -> str:
         return f"NetfaultEngine(plan={self._plan!r})"

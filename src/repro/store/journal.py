@@ -58,10 +58,16 @@ def _well_formed_prefix(data: bytes) -> bytes:
     return data[: end + 1] if end >= 0 else b""
 
 
-def _parse_prefix(path: Path, prefix: bytes) -> List[Dict[str, Any]]:
-    """Parse a well-formed journal prefix into tagged entries."""
+def _parse_prefix(
+    path: Path, prefix: bytes, first_line: int = 1
+) -> List[Dict[str, Any]]:
+    """Parse a well-formed journal prefix into tagged entries.
+
+    ``first_line`` is the journal line number of the prefix's first
+    line, so errors in a parsed suffix name the true line.
+    """
     entries: List[Dict[str, Any]] = []
-    for number, raw in enumerate(prefix.split(b"\n"), start=1):
+    for number, raw in enumerate(prefix.split(b"\n"), start=first_line):
         if not raw:
             continue
         try:
@@ -83,6 +89,12 @@ class RunJournal:
 
     def __init__(self, path: PathLike) -> None:
         self._path = Path(path)
+        #: The prefix :meth:`entries` last parsed, its line count and its
+        #: entries.  Between rewrites a journal only grows, so a read
+        #: whose prefix extends these bytes parses only the new suffix.
+        self._parsed = b""
+        self._parsed_lines = 0
+        self._parsed_entries: List[Dict[str, Any]] = []
 
     @property
     def path(self) -> Path:
@@ -126,8 +138,23 @@ class RunJournal:
         between write and newline) is silently dropped; a malformed line
         anywhere *before* the end means real corruption and raises
         :class:`JournalError`.
+
+        Parsing is incremental: only the bytes appended since the last
+        call are decoded, unless the journal no longer starts with the
+        bytes parsed then (a rewrite, a repair, a truncation).  Callers
+        get a fresh list and must not mutate its entries.
         """
-        return _parse_prefix(self._path, self._read_prefix())
+        prefix = self._read_prefix()
+        if not prefix.startswith(self._parsed):
+            self._parsed, self._parsed_lines, self._parsed_entries = b"", 0, []
+        suffix = prefix[len(self._parsed) :]
+        entries = self._parsed_entries + _parse_prefix(
+            self._path, suffix, first_line=self._parsed_lines + 1
+        )
+        self._parsed = prefix
+        self._parsed_lines += suffix.count(b"\n")
+        self._parsed_entries = entries
+        return list(entries)
 
     def digest(self) -> str:
         """sha256 over the well-formed journal prefix.

@@ -117,6 +117,30 @@ class TestEventPlanGolden:
         assert run_digest(run_dir) == EVENT_GOLDEN[regime]
 
 
+#: Whole-run digest of a serial three-day ``link-failure`` run, pinned
+#: while requests were still filtered one at a time.  Its journal counts
+#: the requests each event dropped and rerouted, so the digest pins
+#: those per-event effects as well.
+REROUTE_GOLDEN = "dc6c063478085f8aa665237d1181d6010210d864ccef9e3fc39274829277164e"
+
+
+class TestRerouteGolden:
+    def test_reroute_run_is_byte_identical_to_its_golden_digest(
+        self, world, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        store = run_campaign_checkpointed(
+            world, run_dir, days=3, netfaults=NETFAULT_MATRIX["link-failure"]
+        )
+        events = [
+            event
+            for entry in store.unit_entries()
+            for event in entry.get("netfaults", [])
+        ]
+        assert any(not event.endswith(" rerouted=0") for event in events)
+        assert run_digest(run_dir) == REROUTE_GOLDEN
+
+
 @pytest.mark.parametrize("regime", sorted(NETFAULT_MATRIX))
 class TestNetfaultMatrix:
     def test_regime_realizes_events(self, regime, world):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
 from repro.measure.results import (
+    PING_COLUMN_DTYPES,
+    TRACE_COLUMN_DTYPES,
     MeasurementDataset,
     MeasurementMeta,
     PingMeasurement,
@@ -78,3 +83,24 @@ def dataset_of(
     if traces:
         dataset.add_trace_block(trace_block_from_records(traces))
     return dataset
+
+
+def dataset_digest(dataset: MeasurementDataset) -> str:
+    """sha256 over every block of a dataset: the probe/region tables and
+    each column's raw bytes, in block order.  Two datasets share a
+    digest only if they hold byte-identical blocks."""
+    digest = hashlib.sha256()
+    for kind, blocks, schema in (
+        (b"ping", dataset.ping_blocks(), PING_COLUMN_DTYPES),
+        (b"trace", dataset.trace_blocks(), TRACE_COLUMN_DTYPES),
+    ):
+        for block in blocks:
+            digest.update(kind)
+            for probe in block.probes:
+                digest.update(f"{probe.probe_id}\n".encode())
+            for region in block.regions:
+                digest.update(f"{region.provider_code}:{region.region_id}\n".encode())
+            for name, dtype in schema.items():
+                column = np.ascontiguousarray(getattr(block, name), dtype)
+                digest.update(name.encode() + column.tobytes())
+    return digest.hexdigest()

@@ -3,11 +3,13 @@ measurement conditions (dark traceroutes, empty RIBs, starved quotas)."""
 
 from dataclasses import replace
 
-
 from repro import SimulationConfig, build_world, run_campaign
 from repro.core.config import CampaignConfig, PathModelConfig, PlatformConfig
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch
+from repro.measure.results import Protocol
 from repro.resolve.pipeline import TracerouteResolver
+
+from tests.oracles.ping_rows import Request
 
 SEED = 41
 SCALE = 0.006
@@ -31,7 +33,9 @@ class TestDarkTraceroutes:
         )
         probe = world.speedchecker.probes[0]
         region = world.catalog.all()[0]
-        trace = world.engine.traceroute_batch([TraceRequest(probe, region)]).record(0)
+        trace = world.engine.traceroute_batch(
+            RequestBatch.of([Request(probe, region, Protocol.ICMP)])
+        ).record(0)
         # Destination hop always answers (it is the measured endpoint),
         # every intermediate hop is dark.
         dark = [h for h in trace.hops if not h.responded]
@@ -99,7 +103,9 @@ class TestDegenerateGeography:
         region = world.catalog.all()[0]
         probe = world.speedchecker.probes[0]
         probe.location = region.location  # park the probe on the DC
-        ping = world.engine.ping_batch([PingRequest(probe, region)]).record(0)
+        ping = world.engine.ping_batch(
+            RequestBatch.of([Request(probe, region)])
+        ).record(0)
         assert all(sample > 0 for sample in ping.samples)
 
     def test_antipodal_measurement(self):
@@ -110,6 +116,8 @@ class TestDegenerateGeography:
         region = next(
             r for r in world.catalog.all() if r.country == "ES"
         )
-        ping = world.engine.ping_batch([PingRequest(probe, region)]).record(0)
+        ping = world.engine.ping_batch(
+            RequestBatch.of([Request(probe, region)])
+        ).record(0)
         # Antipodal RTT stays below a sanity ceiling even with jitter.
         assert all(50.0 < sample < 3000.0 for sample in ping.samples)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import dataset_digest
+
 from repro import build_world
 from repro.geo.continents import Continent
 from repro.measure.campaign import run_intercontinental_study
@@ -110,3 +112,24 @@ class TestRunIntercontinentalStudy:
             for _ in range(2)
         )
         assert list(first.pings()) == list(second.pings())
+
+    def test_pinned_digests_of_sequential_studies(self):
+        # Pins the planner's draw order across two studies on one world.
+        world = build_world(seed=17, scale=0.008)
+        first = run_intercontinental_study(
+            world,
+            ["EG", "NG"],
+            [Continent.EU, Continent.NA],
+            rounds=2,
+            max_probes_per_country=3,
+        )
+        second = run_intercontinental_study(
+            world, ["BR"], [Continent.NA], rounds=2, max_probes_per_country=3
+        )
+        assert (first.ping_count, second.ping_count) == (240, 60)
+        assert dataset_digest(first) == (
+            "3fa4a1f69950ea5a8341278ad5efd3cfdccd1fefdd01acb25a34527c09380909"
+        )
+        assert dataset_digest(second) == (
+            "60e73917e9c6d0db739a4d511969c6813f05142357a50d67490deb765dc205a6"
+        )

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import TraceRequest
 from repro.measure.engine import MeasurementEngine
 from repro.measure.latency import (
     congestion_cycle_multiplier,
@@ -30,10 +29,12 @@ from repro.measure.results import (
     build_meta,
 )
 
+from tests.oracles.ping_rows import Request
+
 
 def traceroute_records(
     engine: MeasurementEngine,
-    requests: Sequence[TraceRequest],
+    requests: Sequence[Request],
     rng: Optional[np.random.Generator] = None,
 ) -> List[TracerouteMeasurement]:
     """The batch's traceroutes as records, in request order."""

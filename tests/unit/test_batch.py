@@ -13,10 +13,11 @@ import pytest
 
 from repro import build_world
 from repro.analysis.stats import ks_distance
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch
 from repro.measure.io import load_dataset, save_dataset
 from repro.measure.results import MeasurementDataset, Protocol
 
+from tests.oracles.ping_rows import Request
 from tests.oracles.scalar_ping import scalar_ping
 
 SEED = 99
@@ -65,15 +66,9 @@ class TestBatchScalarEquivalence:
         assert batch_probes, "world has no probes"
         for continent, probe in batch_probes.items():
             block = world.engine.ping_batch(
-                [
-                    PingRequest(
-                        probe=probe,
-                        region=region,
-                        protocol=protocol,
-                        samples=BATCH_SAMPLES,
-                        day=0,
-                    )
-                ]
+                RequestBatch.of(
+                    [Request(probe, region, protocol, BATCH_SAMPLES, day=0)]
+                )
             )
             batch = np.asarray(block.sample_values)
             scalar_probe = scalar_probes[continent]
@@ -99,12 +94,7 @@ class TestBatchScalarEquivalence:
         region = next(iter(world.catalog))
         probe = world.speedchecker.probes[0]
         traces = world.engine.traceroute_batch(
-            [
-                TraceRequest(
-                    probe=probe, region=region, protocol=Protocol.ICMP, day=0
-                )
-                for _ in range(20)
-            ]
+            RequestBatch.of([Request(probe, region, Protocol.ICMP)] * 20)
         )
         path = world.engine.planned_path(probe, region)
         for trace in traces:
@@ -130,13 +120,7 @@ class TestBatchDeterminism:
         regions = list(world.catalog)[:3]
         probes = world.speedchecker.probes[:5]
         return [
-            PingRequest(
-                probe=probe,
-                region=region,
-                protocol=protocol,
-                samples=4,
-                day=day,
-            )
+            Request(probe, region, protocol, samples=4, day=day)
             for day, probe in enumerate(probes)
             for region in regions
             for protocol in (Protocol.TCP, Protocol.ICMP)
@@ -146,7 +130,8 @@ class TestBatchDeterminism:
         blocks = []
         for _ in range(2):
             world = build_world(seed=SEED, scale=SCALE)
-            blocks.append(world.engine.ping_batch(self.requests_for(world)))
+            batch = RequestBatch.of(self.requests_for(world))
+            blocks.append(world.engine.ping_batch(batch))
         first, second = blocks
         assert np.array_equal(first.sample_values, second.sample_values)
         assert np.array_equal(first.sample_offsets, second.sample_offsets)
@@ -156,7 +141,7 @@ class TestBatchDeterminism:
     def test_batch_order_preserved(self, world):
         """Row i of the block is request i, whatever the path grouping."""
         requests = self.requests_for(world)
-        block = world.engine.ping_batch(requests)
+        block = world.engine.ping_batch(RequestBatch.of(requests))
         assert len(block) == len(requests)
         for i, request in enumerate(requests):
             record = block.record(i)
@@ -168,51 +153,36 @@ class TestBatchDeterminism:
 
 class TestBatchEdgeCases:
     def test_empty_ping_batch(self, world):
-        block = world.engine.ping_batch([])
+        block = world.engine.ping_batch(RequestBatch.of([]))
         assert len(block) == 0
         assert block.sample_count == 0
         assert block.records() == []
 
     def test_empty_traceroute_batch(self, world):
-        block = world.engine.traceroute_batch([])
+        block = world.engine.traceroute_batch(RequestBatch.of([]))
         assert len(block) == 0
         assert block.hop_offsets.tolist() == [0]
 
     def test_rejects_nonpositive_samples(self, world):
         region = next(iter(world.catalog))
         probe = world.speedchecker.probes[0]
-        request = PingRequest(
-            probe=probe, region=region, protocol=Protocol.TCP, samples=0, day=0
-        )
+        request = Request(probe, region, Protocol.TCP, samples=0, day=0)
         with pytest.raises(ValueError, match="samples"):
-            world.engine.ping_batch([request])
+            world.engine.ping_batch(RequestBatch.of([request]))
 
 
 class TestBlockBackedDatasetIO:
     def test_roundtrip(self, world, tmp_path):
         region = next(iter(world.catalog))
         requests = [
-            PingRequest(
-                probe=probe,
-                region=region,
-                protocol=Protocol.TCP,
-                samples=4,
-                day=0,
-            )
+            Request(probe, region, Protocol.TCP, samples=4, day=0)
             for probe in world.speedchecker.probes[:4]
         ]
         dataset = MeasurementDataset()
-        dataset.add_ping_block(world.engine.ping_batch(requests))
+        dataset.add_ping_block(world.engine.ping_batch(RequestBatch.of(requests)))
         dataset.add_trace_block(
             world.engine.traceroute_batch(
-                [
-                    TraceRequest(
-                        probe=requests[0].probe,
-                        region=region,
-                        protocol=Protocol.ICMP,
-                        day=0,
-                    )
-                ]
+                RequestBatch.of([Request(requests[0].probe, region, Protocol.ICMP)])
             )
         )
 

@@ -4,22 +4,25 @@ import pytest
 
 from repro.geo.continents import Continent
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch
 from repro.measure.path import HOME_ROUTER_ADDRESS
 from repro.measure.results import Protocol
 from repro.net.ip import is_private_ip
 
+from tests.oracles.ping_rows import Request
+
 
 def ping_one(world, probe, region, **request):
     """One ping request, as the single row of a batch."""
-    return world.engine.ping_batch([PingRequest(probe, region, **request)]).record(0)
+    batch = RequestBatch.of([Request(probe, region, **request)])
+    return world.engine.ping_batch(batch).record(0)
 
 
 def trace_one(world, probe, region, **request):
     """One traceroute request, as the single row of a batch."""
-    return world.engine.traceroute_batch(
-        [TraceRequest(probe, region, **request)]
-    ).record(0)
+    request.setdefault("protocol", Protocol.ICMP)
+    batch = RequestBatch.of([Request(probe, region, **request)])
+    return world.engine.traceroute_batch(batch).record(0)
 
 
 @pytest.fixture(scope="module")

@@ -27,9 +27,10 @@ from repro.faults import (
 from repro.geo.continents import Continent
 from repro.geo.coords import GeoPoint
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import PingRequest, TraceRequest
+from repro.measure.batch import RequestBatch
 from repro.measure.results import (
     PingMeasurement,
+    Protocol,
     TraceHop,
     TracerouteMeasurement,
     build_meta,
@@ -40,6 +41,8 @@ from repro.platforms.atlas import AtlasPlatform
 from repro.platforms.probe import Probe
 from repro.platforms.speedchecker import QuotaExhausted, SpeedcheckerPlatform
 from repro.store.fileops import FileOps
+
+from tests.oracles.ping_rows import Request, requests_of
 
 
 def _probe(probe_id="p0", country="DE"):
@@ -78,8 +81,8 @@ class StubEngine:
         self.ping_requests = None
         self.trace_requests = None
 
-    def ping_batch(self, requests, rng=None):
-        self.ping_requests = list(requests)
+    def ping_batch(self, batch, rng=None):
+        self.ping_requests = requests_of(batch)
         return ping_block_from_records(
             [
                 PingMeasurement(
@@ -91,8 +94,8 @@ class StubEngine:
             ]
         )
 
-    def traceroute_batch(self, requests, rng=None):
-        self.trace_requests = list(requests)
+    def traceroute_batch(self, batch, rng=None):
+        self.trace_requests = requests_of(batch)
         return trace_block_from_records(
             [
                 TracerouteMeasurement(
@@ -330,7 +333,7 @@ class TestFaultyAtlas:
 def _ping_requests(probe_ids=("p0", "p1"), per_probe=3):
     region = _region()
     return [
-        PingRequest(probe=_probe(pid), region=region, samples=2, day=0)
+        Request(_probe(pid), region, samples=2, day=0)
         for pid in probe_ids
         for _ in range(per_probe)
     ]
@@ -339,7 +342,7 @@ def _ping_requests(probe_ids=("p0", "p1"), per_probe=3):
 def _trace_requests(probe_ids=("p0", "p1")):
     region = _region()
     return [
-        TraceRequest(probe=_probe(pid), region=region, day=0)
+        Request(_probe(pid), region, Protocol.ICMP, day=0)
         for pid in probe_ids
     ]
 
@@ -349,11 +352,11 @@ class TestFaultyEngine:
         inner = StubEngine()
         engine = FaultyEngine(inner, _faults(FaultConfig()))
         requests = _ping_requests()
-        block = engine.ping_batch(requests)
+        block = engine.ping_batch(RequestBatch.of(requests))
         assert len(block) == len(requests)
         assert inner.ping_requests == requests
         traces = _trace_requests()
-        records = engine.traceroute_batch(traces)
+        records = engine.traceroute_batch(RequestBatch.of(traces))
         assert len(records) == len(traces)
         assert inner.trace_requests == traces
 
@@ -361,7 +364,7 @@ class TestFaultyEngine:
         inner = StubEngine()
         faults = _faults(FaultConfig(reply_loss_rate=1.0))
         engine = FaultyEngine(inner, faults)
-        block = engine.ping_batch(_ping_requests())
+        block = engine.ping_batch(RequestBatch.of(_ping_requests()))
         assert len(block) == 0
         assert inner.ping_requests == []
         assert faults.events == ["reply-loss:6"]
@@ -371,7 +374,7 @@ class TestFaultyEngine:
         faults = _faults(FaultConfig(probe_disconnect_rate=1.0))
         engine = FaultyEngine(inner, faults)
         requests = _ping_requests(probe_ids=("p0", "p1"), per_probe=3)
-        block = engine.ping_batch(requests)
+        block = engine.ping_batch(RequestBatch.of(requests))
         assert len(faults.events) == 1
         event = faults.events[0]
         assert event.startswith("probe-disconnect:")
@@ -383,7 +386,7 @@ class TestFaultyEngine:
             r for r in inner.ping_requests if r.probe.probe_id == victim
         ]
         assert len(surviving_of_victim) == kept
-        records = engine.traceroute_batch(_trace_requests())
+        records = engine.traceroute_batch(RequestBatch.of(_trace_requests()))
         assert all(
             r.meta.probe_id != victim for r in records
         )
@@ -393,7 +396,7 @@ class TestFaultyEngine:
         inner = StubEngine()
         faults = _faults(FaultConfig(trace_truncation_rate=1.0))
         engine = FaultyEngine(inner, faults)
-        records = engine.traceroute_batch(_trace_requests())
+        records = engine.traceroute_batch(RequestBatch.of(_trace_requests()))
         assert len(records) == 2
         for record in records:
             assert 1 <= len(record.hops) < 3
@@ -404,8 +407,8 @@ class TestFaultyEngine:
         blocks = []
         for _ in range(2):
             engine = FaultyEngine(StubEngine(), _faults(config))
-            block = engine.ping_batch(_ping_requests())
-            records = engine.traceroute_batch(_trace_requests())
+            block = engine.ping_batch(RequestBatch.of(_ping_requests()))
+            records = engine.traceroute_batch(RequestBatch.of(_trace_requests()))
             blocks.append((len(block), tuple(len(r.hops) for r in records)))
         assert blocks[0] == blocks[1]
 

@@ -39,6 +39,7 @@ from repro.store import (
 )
 from repro.store.cli import main as store_cli
 from repro.store.format import ALIGNMENT, MAGIC, read_header
+from repro.store.journal import JournalError, _parse_prefix
 
 
 def _meta(probe_id="p0", day=0, platform="speedchecker"):
@@ -198,6 +199,54 @@ class TestRunJournal:
         path.write_text('{"type": "begin"}\nGARBAGE\n{"type": "unit", "unit": "x"}\n')
         with pytest.raises(Exception, match="corrupt"):
             RunJournal(path).entries()
+
+    def test_reads_parse_only_appended_bytes(self, tmp_path, monkeypatch):
+        # Re-parsing the whole journal on every commit made a campaign's
+        # journal reads quadratic in its horizon.
+        parsed = []
+
+        def counting_parse(path, prefix, first_line=1):
+            parsed.append(len(prefix))
+            return _parse_prefix(path, prefix, first_line)
+
+        monkeypatch.setattr("repro.store.journal._parse_prefix", counting_parse)
+        path = tmp_path / "journal.jsonl"
+        journal = RunJournal(path)
+        for index in range(50):
+            journal.append({"type": "unit", "unit": f"a:{index:03d}"})
+            assert len(journal.entries()) == index + 1
+            assert len(journal.completed_units()) == index + 1
+        assert sum(parsed) == path.stat().st_size
+
+    def test_entries_returns_a_fresh_list(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        journal.append({"type": "begin", "seed": 7})
+        journal.entries().clear()
+        assert [e["type"] for e in journal.entries()] == ["begin"]
+
+    def test_rewrite_then_entries_returns_rewritten_content(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        for unit in ("a:000", "a:001", "a:002"):
+            journal.append({"type": "unit", "unit": unit})
+        assert journal.completed_units() == ["a:000", "a:001", "a:002"]
+        journal.rewrite([{"type": "unit", "unit": "a:001"}])
+        assert journal.completed_units() == ["a:001"]
+        # A rewrite that extends the parsed bytes is read as a suffix.
+        journal.rewrite(
+            [{"type": "unit", "unit": "a:001"}, {"type": "skip", "unit": "b:000"}]
+        )
+        assert [e["type"] for e in journal.entries()] == ["unit", "skip"]
+
+    def test_corrupt_appended_line_reports_its_line_number(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = RunJournal(path)
+        journal.append({"type": "begin"})
+        journal.append({"type": "unit", "unit": "x"})
+        assert len(journal.entries()) == 2
+        with open(path, "ab") as fh:
+            fh.write(b'GARBAGE\n{"type": "unit", "unit": "y"}\n')
+        with pytest.raises(JournalError, match=r"journal\.jsonl:3: corrupt"):
+            journal.entries()
 
 
 class TestDatasetStore:

@@ -16,7 +16,7 @@ import pytest
 
 from repro import build_world
 from repro.lastmile.base import AccessKind
-from repro.measure.batch import TraceRequest
+from repro.measure.batch import RequestBatch
 from repro.measure.path import HOME_ROUTER_ADDRESS
 from repro.measure.results import (
     TRACE_COLUMN_DTYPES,
@@ -24,6 +24,7 @@ from repro.measure.results import (
     trace_block_from_records,
 )
 
+from tests.oracles.ping_rows import Request
 from tests.oracles.traceroute_records import traceroute_records
 
 SEED = 17
@@ -46,10 +47,10 @@ def _mixed_requests(world):
     for day in range(3):
         for index, probe in enumerate(probes[::-1] if day % 2 else probes):
             requests.append(
-                TraceRequest(
-                    probe=probe,
-                    region=regions[(index + day) % len(regions)],
-                    protocol=(Protocol.ICMP, Protocol.TCP)[index % 2],
+                Request(
+                    probe,
+                    regions[(index + day) % len(regions)],
+                    (Protocol.ICMP, Protocol.TCP)[index % 2],
                     day=day,
                 )
             )
@@ -63,7 +64,7 @@ def _run_both(world, requests):
         engine, requests, rng=np.random.default_rng(RNG_SEED)
     )
     block = engine.traceroute_batch(
-        requests, rng=np.random.default_rng(RNG_SEED)
+        RequestBatch.of(requests), rng=np.random.default_rng(RNG_SEED)
     )
     return block, records
 
