@@ -26,7 +26,6 @@ holds the executor byte for byte to a request-at-a-time oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.measure.latency import (
     sample_hop_rtt_block,
     sample_path_rtt_block,
 )
-from repro.measure.path import HOME_ROUTER_ADDRESS, PlannedPath
+from repro.measure.path import HOME_ROUTER_ADDRESS
 from repro.measure.results import (
     PROTOCOL_CODES,
     PingBlock,
@@ -172,32 +171,31 @@ def _first_seen(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return values[order], rank[inverse.reshape(-1)]
 
 
-#: A batch's block tables and codes, each row's pair index, and the
-#: planned path of each distinct pair.
+#: A batch's block tables and codes, and each row's planner arena row.
 _Endpoints = Tuple[
     List[Probe],
     List[CloudRegion],
     np.ndarray,
     np.ndarray,
     np.ndarray,
-    List[PlannedPath],
 ]
 
 
 def _endpoints(engine: "MeasurementEngine", batch: RequestBatch) -> _Endpoints:
     """Intern the block tables in first-seen row order and plan each
     distinct (probe, region) pair once.  The planner sees the pairs in
-    first-seen order, so it draws as if it planned the rows one by one."""
+    first-seen order, so it draws as if it planned the rows one by one;
+    each request row gets its pair's arena row."""
     probe_table, probe_codes = _first_seen(batch.probe_codes)
     region_table, region_codes = _first_seen(batch.region_codes)
     probes = [batch.probes[code] for code in probe_table.tolist()]
     regions = [batch.regions[code] for code in region_table.tolist()]
     width = len(regions)
     pairs, pair_of = _first_seen(probe_codes.astype(np.int64) * width + region_codes)
-    paths = engine.planner.plan_many(
+    rows = engine.planner.plan_many(
         [(probes[pair // width], regions[pair % width]) for pair in pairs.tolist()]
     )
-    return probes, regions, probe_codes, region_codes, pair_of, paths
+    return probes, regions, probe_codes, region_codes, rows[pair_of]
 
 
 def _cycle_multipliers(days: np.ndarray, config: SimulationConfig) -> np.ndarray:
@@ -217,7 +215,7 @@ def execute_ping_batch(
 
     Phase 1 works on the batch's columns: each distinct (probe, region)
     pair is planned once (the planner caches across batches), and base
-    RTT, jitter sigma and congestion are gathered per pair, last-mile
+    RTT, jitter sigma and congestion are gathered by arena row, last-mile
     parameters and the ICMP penalty per probe and the congestion cycle
     per day.  Phase 2 is pure array math over every sample of every
     request.
@@ -237,16 +235,15 @@ def execute_ping_batch(
         bad = int(counts[np.argmax(counts < 1)])
         raise ValueError(f"samples must be >= 1, got {bad}")
 
-    probes, regions, probe_codes, region_codes, pair_of, paths = _endpoints(
-        engine, batch
-    )
+    probes, regions, probe_codes, region_codes, rows = _endpoints(engine, batch)
+    planned = engine.planner.arena.pairs
     protocol_codes = np.ascontiguousarray(batch.protocol_codes)
     icmp = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
-    base = np.array([path.base_path_rtt_ms for path in paths])[pair_of]
-    sigma = np.array([path.jitter_sigma for path in paths])[pair_of]
-    congestion_p = np.array(
-        [path.congestion_probability for path in paths]
-    )[pair_of] * _cycle_multipliers(batch.days, config)
+    base = planned.base_path_rtt_ms[rows]
+    sigma = planned.jitter_sigma[rows]
+    congestion_p = planned.congestion_probability[rows] * _cycle_multipliers(
+        batch.days, config
+    )
     penalty = np.array(
         [icmp_penalty_probability_for(p.continent, config) for p in probes]
     )
@@ -327,10 +324,8 @@ def execute_traceroute_batch(
 
     # Plan (or fetch) every trace's path first so the planner's own RNG
     # draws stay grouped ahead of the measurement draws below.
-    probes, regions, probe_codes, region_codes, pair_of, pair_paths = _endpoints(
-        engine, batch
-    )
-    paths = [pair_paths[pair] for pair in pair_of.tolist()]
+    probes, regions, probe_codes, region_codes, rows = _endpoints(engine, batch)
+    arena = engine.planner.arena
 
     # Per-probe columns, indexed by probe code.
     probe_penalty = np.array(
@@ -348,12 +343,12 @@ def execute_traceroute_batch(
     days = np.ascontiguousarray(batch.days)
     protocol_codes = np.ascontiguousarray(batch.protocol_codes)
     icmp_mask = protocol_codes == PROTOCOL_CODES[Protocol.ICMP]
-    counts = np.array([len(path.hop_addresses) for path in paths], np.int64)
-    dest_addresses = np.array([path.dest_address for path in paths], np.int64)
-    sigma = np.array([path.jitter_sigma for path in paths])
-    congestion_p = np.array(
-        [path.congestion_probability for path in paths]
-    ) * _cycle_multipliers(days, config)
+    counts, hop_index = arena.hop_index(rows)
+    dest_addresses = arena.pairs.dest_address[rows]
+    sigma = arena.pairs.jitter_sigma[rows]
+    congestion_p = arena.pairs.congestion_probability[rows] * _cycle_multipliers(
+        days, config
+    )
     icmp_p = np.where(icmp_mask, probe_penalty[probe_codes], 0.0)
 
     # One array draw decides every trace's access switch: Android
@@ -396,15 +391,10 @@ def execute_traceroute_batch(
     router_rtts = np.round(air + rng.exponential(0.3, n), 3)
 
     # -- phase 2: one vectorized pass over every hop of every trace ---------
-    total = int(counts.sum())
+    total = len(hop_index)
     hop_of = np.repeat(np.arange(n), counts)
-    base = np.fromiter(
-        chain.from_iterable(path.hop_base_rtts for path in paths),
-        np.float64,
-        count=total,
-    )
     hop_core = sample_hop_rtt_block(
-        base,
+        arena.hops.base_rtt[hop_index],
         sigma[hop_of],
         congestion_p[hop_of],
         icmp_mask[hop_of],
@@ -413,11 +403,7 @@ def execute_traceroute_batch(
         rng,
     )
     rtts = np.round(lastmile_total[hop_of] + hop_core, 3)
-    addresses = np.fromiter(
-        chain.from_iterable(path.hop_addresses for path in paths),
-        np.int64,
-        count=total,
-    )
+    addresses = arena.hops.address[hop_index].astype(np.int64)
     blank = (addresses != dest_addresses[hop_of]) & (
         rng.random(total) < unresponsive_p
     )

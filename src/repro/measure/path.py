@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import (
+    Any,
     Dict,
     Hashable,
     List,
@@ -40,20 +41,6 @@ from repro.platforms.probe import Probe
 #: Home-router LAN-side address seen as the first traceroute hop of a
 #: home probe.
 HOME_ROUTER_ADDRESS = parse_ip("192.168.1.1")
-
-#: Columnar hop storage: parallel per-hop tuples of (addresses, ASNs,
-#: owner kinds, latitudes, longitudes, base RTTs, IXP ids) -- the same
-#: field order as :class:`PlannedHop`.
-HopColumns = Tuple[
-    Tuple[int, ...],
-    Tuple[Optional[int], ...],
-    Tuple[str, ...],
-    Tuple[float, ...],
-    Tuple[float, ...],
-    Tuple[float, ...],
-    Tuple[Optional[int], ...],
-]
-
 
 class InterconnectKind(str, Enum):
     """Ground-truth interconnect class of a forwarding path.
@@ -100,80 +87,35 @@ class PlannedHop(NamedTuple):
         return GeoPoint(self.lat, self.lon)
 
 
-class PlannedPath:
-    """The planned forwarding path between a probe and a region endpoint.
+class PlannedPath(NamedTuple):
+    """A frozen view of one planned path: a row of the planner's arena.
 
-    Hops are stored columnar -- parallel tuples of atomic values rather
-    than one object per hop.  Exact tuples of atomics are untracked by
-    the garbage collector, which keeps the planner's (large, permanent)
-    path cache out of every gen-2 collection; the hot batch engines read
-    the columns directly and :attr:`hops` materializes the classic
-    :class:`PlannedHop` view on demand for analysis code.
+    Built on demand by :meth:`PathPlanner.path` (and :meth:`PathPlanner.plan`)
+    for analysis code and tests; the batch executors read the arena's
+    columns directly.  Hops are parallel tuples of atomic values, ISP
+    edge first, endpoint last; :attr:`hops` gives the same hops as
+    :class:`PlannedHop` rows.
     """
 
-    __slots__ = (
-        "probe_id",
-        "region_id",
-        "provider_code",
-        "as_path",
-        "interconnect",
-        "distance_km",
-        "stretch",
-        "jitter_sigma",
-        "congestion_probability",
-        "base_path_rtt_ms",
-        "hop_addresses",
-        "hop_asns",
-        "hop_kinds",
-        "hop_lats",
-        "hop_lons",
-        "hop_base_rtts",
-        "hop_ixp_ids",
-        "dest_address",
-    )
-
-    def __init__(
-        self,
-        *,
-        probe_id: str,
-        region_id: str,
-        provider_code: str,
-        as_path: Tuple[int, ...],
-        interconnect: InterconnectKind,
-        distance_km: float,
-        stretch: float,
-        jitter_sigma: float,
-        congestion_probability: float,
-        base_path_rtt_ms: float,
-        dest_address: int,
-        hops: Sequence[PlannedHop] = (),
-        hop_columns: Optional[HopColumns] = None,
-    ) -> None:
-        self.probe_id = probe_id
-        self.region_id = region_id
-        self.provider_code = provider_code
-        self.as_path = as_path
-        self.interconnect = interconnect
-        self.distance_km = distance_km
-        self.stretch = stretch
-        self.jitter_sigma = jitter_sigma
-        self.congestion_probability = congestion_probability
-        #: Noise-free RTT from the ISP edge to the endpoint (no last mile).
-        self.base_path_rtt_ms = base_path_rtt_ms
-        if hop_columns is None:
-            hop_columns = tuple(zip(*hops)) if hops else ((),) * 7
-        self._set_columns(hop_columns)
-        self.dest_address = dest_address
-
-    def _set_columns(self, columns: HopColumns) -> None:
-        #: Columnar hop storage, ISP edge first, endpoint last.
-        self.hop_addresses = columns[0]
-        self.hop_asns = columns[1]
-        self.hop_kinds = columns[2]
-        self.hop_lats = columns[3]
-        self.hop_lons = columns[4]
-        self.hop_base_rtts = columns[5]
-        self.hop_ixp_ids = columns[6]
+    probe_id: str
+    region_id: str
+    provider_code: str
+    as_path: Tuple[int, ...]
+    interconnect: InterconnectKind
+    distance_km: float
+    stretch: float
+    jitter_sigma: float
+    congestion_probability: float
+    #: Noise-free RTT from the ISP edge to the endpoint (no last mile).
+    base_path_rtt_ms: float
+    dest_address: int
+    hop_addresses: Tuple[int, ...] = ()
+    hop_asns: Tuple[Optional[int], ...] = ()
+    hop_kinds: Tuple[str, ...] = ()
+    hop_lats: Tuple[float, ...] = ()
+    hop_lons: Tuple[float, ...] = ()
+    hop_base_rtts: Tuple[float, ...] = ()
+    hop_ixp_ids: Tuple[Optional[int], ...] = ()
 
     @property
     def hops(self) -> Tuple[PlannedHop, ...]:
@@ -204,6 +146,119 @@ class PlannedPath:
             f"PlannedPath(probe_id={self.probe_id!r}, "
             f"region_id={self.region_id!r}, hops={self.hop_count})"
         )
+
+
+#: Interconnect classes by arena code.
+INTERCONNECTS: Tuple[InterconnectKind, ...] = tuple(InterconnectKind)
+_INTERCONNECT_CODES = {kind: code for code, kind in enumerate(INTERCONNECTS)}
+#: Arena ``owner`` of an IXP port hop, which no AS on the path owns.
+OWNER_IXP = -1
+
+#: Per-hop arena columns, 29 bytes a hop.  Addresses are IPv4.  ``owner``
+#: is the index of the hop's AS in its path's AS path (``OWNER_IXP`` for
+#: the IXP port), from which a view derives the hop's ASN, owner kind and
+#: IXP id.
+HOP_COLUMNS: Dict[str, type] = {
+    "address": np.uint32,
+    "base_rtt": np.float64,
+    "lat": np.float64,
+    "lon": np.float64,
+    "owner": np.int8,
+}
+#: Per-path arena columns.  ``meta`` indexes the planner's route metas.
+PAIR_COLUMNS: Dict[str, type] = {
+    "hop_start": np.int64,
+    "hop_count": np.int32,
+    "base_path_rtt_ms": np.float64,
+    "jitter_sigma": np.float64,
+    "congestion_probability": np.float64,
+    "dest_address": np.int64,
+    "distance_km": np.float64,
+    "stretch": np.float64,
+    "interconnect": np.int8,
+    "meta": np.int32,
+}
+
+
+class ArenaColumns:
+    """Named NumPy columns that grow together.
+
+    Attribute access gives a column's filled prefix (a view).  When
+    :meth:`reserve` runs out of capacity every column is reallocated at
+    (at least) 1.125x its capacity, one column at a time, so appends
+    cost amortized O(1), a growth step holds one old column besides the
+    new ones, and the slack stays under an eighth of the data.
+    """
+
+    def __init__(self, dtypes: Dict[str, type]) -> None:
+        self._columns = {name: np.empty(0, dtype) for name, dtype in dtypes.items()}
+        self._size = 0
+        self._capacity = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            column = self.__dict__["_columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+        filled: np.ndarray = column[: self._size]
+        return filled
+
+    def row(self, index: int) -> Dict[str, Any]:
+        """Row ``index`` as Python scalars, by column name."""
+        if not 0 <= index < self._size:
+            raise IndexError(index)
+        return {name: column.item(index) for name, column in self._columns.items()}
+
+    def rows(self, start: int, stop: int) -> Dict[str, List[Any]]:
+        """Rows ``start:stop`` as Python lists, by column name."""
+        stop = min(stop, self._size)
+        return {
+            name: column[start:stop].tolist() for name, column in self._columns.items()
+        }
+
+    def reserve(self, count: int) -> int:
+        """Extend every column by ``count`` unset rows; the first new row."""
+        start = self._size
+        end = start + count
+        if end > self._capacity:
+            self._capacity = max(end, self._capacity + self._capacity // 8)
+            for name, column in self._columns.items():
+                grown = np.empty(self._capacity, column.dtype)
+                grown[:start] = column[:start]
+                self._columns[name] = grown
+        self._size = end
+        return start
+
+
+class PlanArena:
+    """Every path a planner has planned, as NumPy columns.
+
+    ``pairs`` holds one row per planned path; row ``r``'s hops, ISP edge
+    first and endpoint last, are ``hops[hop_start[r]:hop_start[r] +
+    hop_count[r]]``; ``interconnect`` indexes :data:`INTERCONNECTS`.
+    Rows are never rewritten once appended.
+    """
+
+    def __init__(self) -> None:
+        self.hops = ArenaColumns(HOP_COLUMNS)
+        self.pairs = ArenaColumns(PAIR_COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def hop_index(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The hop counts of ``rows`` and the hop-column indices of all
+        their hops, concatenated in row order."""
+        counts = self.pairs.hop_count[rows].astype(np.int64)
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if len(ends) else 0
+        index = np.arange(total) + np.repeat(
+            self.pairs.hop_start[rows] - (ends - counts), counts
+        )
+        return counts, index
 
 
 def classify_interconnect(
@@ -284,8 +339,36 @@ _CLOUD_GEO_SHARE = {
     InterconnectKind.PUBLIC: 0.15,
 }
 
-#: Pre-rendered AS-kind labels so hop assembly never re-stringifies enums.
-_KIND_LABELS = {kind: str(kind) for kind in ASKind}
+#: An IXP port hop: (IXP id, LAN address, latitude, longitude).
+_IxpPort = Tuple[int, int, float, float]
+
+
+class _RouteMeta(NamedTuple):
+    """The route-level prefix of path preparation.
+
+    Every field is a pure function of (serving ISP, probe continent,
+    provider, policy token) -- many pairs share one entry, so the planner
+    computes routing, interconnect classification, the class stretch and
+    the fixed RTT overheads once per route instead of once per (probe,
+    region) pair.  ``sigma_base``/``sigma_per_1000km`` linearize
+    :func:`effective_jitter_sigma`; the per-pair terms left are the
+    great-circle distance, the stretch geography, the endpoint address
+    and the RNG draws.
+    """
+
+    as_path: Tuple[int, ...]
+    interconnect: InterconnectKind
+    #: Interconnect-class stretch, before the geography correction.
+    stretch: float
+    sigma_base: float
+    sigma_per_1000km: float
+    systems: Tuple[AS, ...]
+    cloud_share: float
+    fixed_rtt: float
+    wan: PrivateWAN
+    #: The meta's index in the planner's route metas.
+    index: int
+    port: Optional[_IxpPort]
 
 
 class _PathPrep(NamedTuple):
@@ -299,14 +382,13 @@ class _PathPrep(NamedTuple):
 
     probe: Probe
     region: CloudRegion
-    as_path: Sequence[int]
-    interconnect: InterconnectKind
+    #: The pair's route: AS path, interconnect class, the ASes on it,
+    #: fixed RTT overheads and IXP port.
+    meta: _RouteMeta
     distance: float
     stretch: float
     sigma: float
-    systems: Sequence[AS]
     counts: List[int]
-    fixed_rtt: float
     total_hops: int
     two_way_fiber: float
     dest_address: int
@@ -315,31 +397,26 @@ class _PathPrep(NamedTuple):
     rng: np.random.Generator
 
 
-class _RouteMeta(NamedTuple):
-    """The probe-location-independent prefix of path preparation.
+class _PlacedHops(NamedTuple):
+    """The router hops of a batch of preps, concatenated in prep order
+    (no IXP ports, no endpoints); prep ``j`` owns
+    ``offsets[j]:offsets[j + 1]``."""
 
-    Every field is a pure function of (serving ISP, probe country and
-    continent, region) -- many probes share one entry, so the planner
-    computes routing, interconnect classification, stretch geography and
-    the fixed RTT overheads once per (ISP, country, region) instead of
-    once per (probe, region) pair.  ``sigma_base``/``sigma_per_1000km``
-    linearize :func:`effective_jitter_sigma` so the only per-probe terms
-    left are the great-circle distance and the RNG draws.
-    """
-
-    as_path: Tuple[int, ...]
-    interconnect: InterconnectKind
-    stretch: float
-    sigma_base: float
-    sigma_per_1000km: float
-    systems: Tuple[AS, ...]
-    cloud_share: float
-    fixed_rtt: float
-    dest_address: int
+    lats: np.ndarray
+    lons: np.ndarray
+    base_rtts: np.ndarray
+    addresses: np.ndarray
+    owners: np.ndarray
+    offsets: np.ndarray
 
 
 class PathPlanner:
-    """Builds and caches :class:`PlannedPath` objects.
+    """Plans (probe, region) paths into a :class:`PlanArena`, cached.
+
+    A planned path is an arena row: :meth:`plan_many` returns rows, the
+    batch executors gather from :attr:`arena` by row, and
+    :meth:`path` / :meth:`plan` build a :class:`PlannedPath` view of a
+    row on demand.
 
     Two randomness disciplines are supported:
 
@@ -392,7 +469,12 @@ class PathPlanner:
         #: ever invalidated -- planned paths are pure functions of
         #: (pair, token).
         self._route_policy = route_policy
-        self._cache: Dict[Tuple[Hashable, ...], PlannedPath] = {}
+        self._arena = PlanArena()
+        #: Pair key -> arena row; keys in row order, for path views.
+        self._cache: Dict[Tuple[Hashable, ...], int] = {}
+        self._row_keys: List[Tuple[Hashable, ...]] = []
+        #: Route metas by index (the arena's ``meta`` column).
+        self._metas: List[_RouteMeta] = []
         self._meta_cache: Dict[Tuple[Hashable, ...], _RouteMeta] = {}
         #: Per-scope token memo for the *current* policy state: pair
         #: tokens are pure given (policy token, scope), so the memo is
@@ -524,43 +606,72 @@ class PathPlanner:
             )
         )
 
+    @property
+    def arena(self) -> PlanArena:
+        """Every planned path, as columns indexed by arena row."""
+        return self._arena
+
     def plan(self, probe: Probe, region: CloudRegion) -> PlannedPath:
-        """The planned path for a (probe, region) pair, cached."""
-        token = self._pair_token(region.provider_code, probe.continent)
-        key: Tuple[Hashable, ...] = (
-            probe.probe_id,
-            region.provider_code,
-            region.region_id,
+        """The planned path for a (probe, region) pair (cached), as a view."""
+        return self.path(int(self.plan_many([(probe, region)])[0]))
+
+    def path(self, row: int) -> PlannedPath:
+        """A frozen :class:`PlannedPath` view of one arena row."""
+        pair = self._arena.pairs.row(row)
+        start = pair["hop_start"]
+        hops = self._arena.hops.rows(start, start + pair["hop_count"])
+        meta = self._metas[pair["meta"]]
+        as_path = meta.as_path
+        kinds = [str(system.kind) for system in meta.systems]
+        ixp_id = meta.port[0] if meta.port else None
+        owners = hops["owner"]
+        probe_id, provider_code, region_id = self._row_keys[row][:3]
+        return PlannedPath(
+            probe_id=str(probe_id),
+            region_id=str(region_id),
+            provider_code=str(provider_code),
+            as_path=as_path,
+            interconnect=INTERCONNECTS[pair["interconnect"]],
+            distance_km=pair["distance_km"],
+            stretch=pair["stretch"],
+            jitter_sigma=pair["jitter_sigma"],
+            congestion_probability=pair["congestion_probability"],
+            base_path_rtt_ms=pair["base_path_rtt_ms"],
+            dest_address=pair["dest_address"],
+            hop_addresses=tuple(hops["address"]),
+            hop_asns=tuple(
+                None if owner == OWNER_IXP else as_path[owner] for owner in owners
+            ),
+            hop_kinds=tuple(
+                "ixp" if owner == OWNER_IXP else kinds[owner] for owner in owners
+            ),
+            hop_lats=tuple(hops["lat"]),
+            hop_lons=tuple(hops["lon"]),
+            hop_base_rtts=tuple(hops["base_rtt"]),
+            hop_ixp_ids=tuple(
+                ixp_id if owner == OWNER_IXP else None for owner in owners
+            ),
         )
-        if token is not None:
-            key = key + (token,)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        path = self._build(probe, region, token)
-        self._cache[key] = path
-        return path
 
-    def plan_many(
-        self, pairs: Sequence[Tuple[Probe, CloudRegion]]
-    ) -> List[PlannedPath]:
-        """Planned paths for many (probe, region) pairs at once.
+    def plan_many(self, pairs: Sequence[Tuple[Probe, CloudRegion]]) -> np.ndarray:
+        """The arena rows of many (probe, region) pairs, planned at once.
 
-        Cache hits return directly; every miss in the batch shares one
-        vectorized hop-placement pass (fractions, spherical interpolation,
-        base RTTs, and hop addresses are single array expressions across
-        all new paths), so a cold campaign day pays array setup once
-        rather than per pair.
+        Cache hits return their row directly; every miss in the batch
+        shares one vectorized hop-placement pass (fractions, spherical
+        interpolation, base RTTs, and hop addresses are single array
+        expressions across all new paths) that writes the new rows
+        straight into the arena, so a cold campaign day pays array setup
+        once rather than per pair.
         """
-        results: List[Optional[PlannedPath]] = [None] * len(pairs)
-        keys: List[Optional[tuple]] = [None] * len(pairs)
+        rows: List[int] = [0] * len(pairs)
+        keys: List[Tuple[Hashable, ...]] = [()] * len(pairs)
         tokens: List[Optional[Hashable]] = [None] * len(pairs)
         misses: List[int] = []
         cache = self._cache
         policy = self._route_policy
         scope_tokens: Dict[Tuple[str, Continent], Optional[Hashable]] = {}
         # Cache probing is per-pair by design: dict hits cost ~100ns and
-        # keep the RNG draw order identical to the scalar plan() path.
+        # keep the RNG draw order identical to planning pair by pair.
         for i, (probe, region) in enumerate(pairs):  # repro-lint: disable=PERF001
             key: Tuple[Hashable, ...] = (
                 probe.probe_id,
@@ -579,52 +690,31 @@ class PathPlanner:
                     tokens[i] = token
             cached = cache.get(key)
             if cached is not None:
-                results[i] = cached
+                rows[i] = cached
             else:
                 keys[i] = key
                 misses.append(i)
-        if not misses:
-            return results
-        # Dedup repeats inside the batch, preserving first-seen order so
-        # the RNG draw sequence depends only on the request sequence.
-        first_seen: dict = {}
-        unique: List[int] = []
-        for i in misses:
-            if keys[i] not in first_seen:
-                first_seen[keys[i]] = len(unique)
-                unique.append(i)
-        preps = [
-            self._prepare(pairs[i][0], pairs[i][1], tokens[i])
-            for i in unique
-        ]
-        placed = self._place_hops(preps)
-        lat_list, lon_list, rtt_list, addr_list, offsets = placed
-        built: List[PlannedPath] = []
-        # Final assembly slices the vectorized hop columns back into
-        # ragged per-path tuples; the arithmetic already ran above.
-        for j, prep in enumerate(preps):  # repro-lint: disable=PERF001
-            columns, base_rtt = self._assemble(
-                prep, lat_list, lon_list, rtt_list, addr_list, offsets[j]
-            )
-            path = self._finalize(prep, columns, base_rtt)
-            cache[keys[unique[j]]] = path
-            built.append(path)
-        for i in misses:
-            results[i] = built[first_seen[keys[i]]]
-        return results
-
-    def _build(
-        self,
-        probe: Probe,
-        region: CloudRegion,
-        token: Optional[Hashable],
-    ) -> PlannedPath:
-        prep = self._prepare(probe, region, token)
-        lat_list, lon_list, rtt_list, addr_list, _ = self._place_hops([prep])
-        columns, base_rtt = self._assemble(
-            prep, lat_list, lon_list, rtt_list, addr_list, 0
-        )
-        return self._finalize(prep, columns, base_rtt)
+        if misses:
+            # Dedup repeats inside the batch, preserving first-seen order
+            # so the RNG draw sequence depends only on the request
+            # sequence.
+            first_seen: Dict[Tuple[Hashable, ...], int] = {}
+            unique: List[int] = []
+            for i in misses:
+                if keys[i] not in first_seen:
+                    first_seen[keys[i]] = len(unique)
+                    unique.append(i)
+            preps = [
+                self._prepare(pairs[i][0], pairs[i][1], tokens[i])
+                for i in unique
+            ]
+            first = self._append(preps)
+            for key, j in first_seen.items():
+                cache[key] = first + j
+            self._row_keys.extend(first_seen)
+            for i in misses:
+                rows[i] = first + first_seen[keys[i]]
+        return np.array(rows, np.int64)
 
     def _route_meta(
         self,
@@ -632,7 +722,7 @@ class PathPlanner:
         region: CloudRegion,
         token: Optional[Hashable],
     ) -> _RouteMeta:
-        """The shared (ISP, country, region) prefix of preparation, cached.
+        """The shared route-level prefix of preparation, cached.
 
         ``token`` is the pair's scope token (see :meth:`_pair_token`),
         already resolved by the caller so the hot path never re-derives
@@ -641,9 +731,7 @@ class PathPlanner:
         key: Tuple[Hashable, ...] = (
             probe.isp_asn,
             probe.continent,
-            probe.country,
             region.provider_code,
-            region.region_id,
         )
         if token is not None:
             key = key + (token,)
@@ -668,10 +756,6 @@ class PathPlanner:
             )
         interconnect = classify_interconnect(as_path, topology, provider_code)
         wan = self._wans[network]
-        stretch = effective_stretch(
-            interconnect, len(as_path) - 2, wan, probe.continent, self._config
-        )
-        stretch = self._adjust_stretch_for_geography(stretch, probe, region, wan)
         path_config = self._config.path_model
         # Linearized effective_jitter_sigma: base + (distance/1000) * slope
         # evaluates to bit-identical floats for every interconnect class
@@ -695,7 +779,9 @@ class PathPlanner:
         meta = _RouteMeta(
             as_path=tuple(as_path),
             interconnect=interconnect,
-            stretch=stretch,
+            stretch=effective_stretch(
+                interconnect, intermediates, wan, probe.continent, self._config
+            ),
             sigma_base=sigma_base,
             sigma_per_1000km=sigma_slope,
             systems=tuple(registry.get(asn) for asn in as_path),
@@ -704,12 +790,28 @@ class PathPlanner:
                 path_config.isp_core_rtt_ms
                 + intermediates * path_config.per_intermediate_as_rtt_ms
             ),
-            dest_address=self._region_addresses[
-                (provider_code, region.region_id)
-            ],
+            wan=wan,
+            index=len(self._metas),
+            port=self._ixp_port(interconnect, as_path[0], provider_code),
         )
+        self._metas.append(meta)
         self._meta_cache[key] = meta
         return meta
+
+    def _ixp_port(
+        self, interconnect: InterconnectKind, isp_asn: int, provider_code: str
+    ) -> Optional[_IxpPort]:
+        """The IXP port hop of a direct session over a public exchange
+        fabric (``None`` unless the path is DIRECT_IXP)."""
+        if interconnect is not InterconnectKind.DIRECT_IXP:
+            return None
+        peering = self._topology.peering_for(provider_code)
+        ixp_id = peering.direct_isps.get(isp_asn)
+        if ixp_id is None:
+            return None
+        ixp = self._topology.ixps.get(ixp_id)
+        address = ixp.lan_address_for(peering.cloud_asn)
+        return (ixp_id, address, ixp.location.lat, ixp.location.lon)
 
     def _prepare(
         self,
@@ -719,17 +821,21 @@ class PathPlanner:
     ) -> _PathPrep:
         """The scalar (per-pair) prefix of path building.
 
-        Routing, classification, stretch geography and fixed overheads
-        come from the :meth:`_route_meta` cache; only the great-circle
-        distance, the distance-dependent jitter sigma, and the RNG draws
-        remain per pair.  ``token`` is the caller-resolved scope token
-        (``None`` for baseline planning).  Produces preps bit-identical
-        to :meth:`_prepare_legacy` with an identical draw sequence.
+        Routing, classification, the class stretch and fixed overheads
+        come from the :meth:`_route_meta` cache; the great-circle
+        distance, the stretch geography, the distance-dependent jitter
+        sigma, the endpoint address and the RNG draws remain per pair.
+        ``token`` is the caller-resolved scope token (``None`` for
+        baseline planning).  Produces preps bit-identical to
+        :meth:`_prepare_legacy` with an identical draw sequence.
         """
         if self._legacy_prep:
             return self._prepare_legacy(probe, region)
         meta = self._route_meta(probe, region, token)
         distance = probe.location.distance_km(region.location)
+        stretch = self._adjust_stretch_for_geography(
+            meta.stretch, probe, region, meta.wan
+        )
         sigma = meta.sigma_base + (distance / 1000.0) * meta.sigma_per_1000km
         if self._pair_entropy is not None:
             pair_rng = self._pair_generator(probe, region)
@@ -740,17 +846,16 @@ class PathPlanner:
         return _PathPrep(
             probe=probe,
             region=region,
-            as_path=meta.as_path,
-            interconnect=meta.interconnect,
+            meta=meta,
             distance=distance,
-            stretch=meta.stretch,
+            stretch=stretch,
             sigma=sigma,
-            systems=meta.systems,
             counts=counts,
-            fixed_rtt=meta.fixed_rtt,
             total_hops=sum(counts),
-            two_way_fiber=2.0 * one_way_fiber_ms(distance, meta.stretch),
-            dest_address=meta.dest_address,
+            two_way_fiber=2.0 * one_way_fiber_ms(distance, stretch),
+            dest_address=self._region_addresses[
+                (region.provider_code, region.region_id)
+            ],
             rng=pair_rng,
         )
 
@@ -793,17 +898,31 @@ class PathPlanner:
             assert self._rng is not None
             pair_rng = self._rng
         counts = _hop_counts(systems, cloud_share, pair_rng)
+        # Uncached: every legacy pair gets its own route meta, built from
+        # the values computed above (its sigma fields hold the pair's
+        # own sigma).
+        meta = _RouteMeta(
+            as_path=tuple(as_path),
+            interconnect=interconnect,
+            stretch=stretch,
+            sigma_base=sigma,
+            sigma_per_1000km=0.0,
+            systems=tuple(systems),
+            cloud_share=cloud_share,
+            fixed_rtt=fixed_rtt,
+            wan=wan,
+            index=len(self._metas),
+            port=self._ixp_port(interconnect, as_path[0], provider_code),
+        )
+        self._metas.append(meta)
         return _PathPrep(
             probe=probe,
             region=region,
-            as_path=as_path,
-            interconnect=interconnect,
+            meta=meta,
             distance=distance,
             stretch=stretch,
             sigma=sigma,
-            systems=systems,
             counts=counts,
-            fixed_rtt=fixed_rtt,
             total_hops=sum(counts),
             two_way_fiber=2.0 * one_way_fiber_ms(distance, stretch),
             dest_address=self._region_addresses[
@@ -812,18 +931,13 @@ class PathPlanner:
             rng=pair_rng,
         )
 
-    def _place_hops(
-        self, preps: Sequence[_PathPrep]
-    ) -> Tuple[
-        List[float], List[float], List[float], List[int], List[int]
-    ]:
-        """Place every hop of every prep in one vectorized pass.
+    def _place_hops(self, preps: Sequence[_PathPrep]) -> _PlacedHops:
+        """Place every router hop of every prep in one vectorized pass.
 
         Fractions along each great circle, spherical interpolation, the
-        linear noise-free RTT profile, and hop addresses are all plain
-        array expressions over the concatenated hops of the whole batch.
-        Returns per-hop lat/lon/RTT/address lists plus the per-prep start
-        offsets into them.
+        linear noise-free RTT profile, hop addresses and owners are all
+        plain array expressions over the concatenated hops of the whole
+        batch.
         """
         path_config = self._config.path_model
         n_hops = np.array([prep.total_hops for prep in preps], dtype=np.int64)
@@ -863,7 +977,7 @@ class PathPlanner:
         # Noise-free RTT profile: linear in the path fraction plus per-hop
         # processing, shared minimum, and the fixed overheads.
         grows = np.array(
-            [prep.two_way_fiber + prep.fixed_rtt for prep in preps]
+            [prep.two_way_fiber + prep.meta.fixed_rtt for prep in preps]
         )
         base_rtts = (
             grows[path_of] * fractions
@@ -874,17 +988,22 @@ class PathPlanner:
         # One uniform draw covers every hop's address offset; each hop's
         # offset maps onto [16, prefix.size - 16) inside its owner's
         # prefix, matching the old per-AS integer draws in distribution.
-        as_counts: List[int] = []
-        as_bases: List[int] = []
-        as_spans: List[int] = []
-        for prep in preps:
-            for autonomous_system, count in zip(prep.systems, prep.counts):
-                prefix = autonomous_system.prefixes[0]
-                as_counts.append(count)
-                as_bases.append(prefix.base)
-                as_spans.append(prefix.size - 32)
-        spans = np.repeat(np.array(as_spans, dtype=np.float64), as_counts)
-        bases = np.repeat(np.array(as_bases, dtype=np.int64), as_counts)
+        systems = [
+            (count, system.prefixes[0], owner)
+            for prep in preps
+            for owner, (system, count) in enumerate(
+                zip(prep.meta.systems, prep.counts)
+            )
+        ]
+        as_counts = [count for count, _, _ in systems]
+        spans = np.repeat(
+            np.array([prefix.size - 32 for _, prefix, _ in systems], np.float64),
+            as_counts,
+        )
+        bases = np.repeat(
+            np.array([prefix.base for _, prefix, _ in systems], np.int64),
+            as_counts,
+        )
         if self._pair_entropy is None:
             assert self._rng is not None
             draws = self._rng.random(total)
@@ -896,106 +1015,89 @@ class PathPlanner:
                 [prep.rng.random(prep.total_hops) for prep in preps]
             )
         addresses = bases + 16 + (draws * spans).astype(np.int64)
-
-        return (
-            lats.tolist(),
-            lons.tolist(),
-            base_rtts.tolist(),
-            addresses.tolist(),
-            offsets.tolist(),
+        owners = np.repeat(
+            np.array([owner for _, _, owner in systems], np.int8), as_counts
         )
+        return _PlacedHops(lats, lons, base_rtts, addresses, owners, offsets)
 
-    def _assemble(
-        self,
-        prep: _PathPrep,
-        lat_list: List[float],
-        lon_list: List[float],
-        rtt_list: List[float],
-        addr_list: List[int],
-        start: int,
-    ) -> Tuple[HopColumns, float]:
-        """Build one prep's columnar hop storage from the placed arrays."""
+    def _append(self, preps: Sequence[_PathPrep]) -> int:
+        """Plan ``preps`` into consecutive new arena rows; the first row.
+
+        Each path's hops are its router hops, with the IXP port of a
+        DIRECT_IXP path inserted after the ISP's hops (at the RTT of the
+        hop it precedes), then the destination endpoint (the VM).
+        """
         path_config = self._config.path_model
-        total = prep.total_hops
-        end = start + total
-        addresses = addr_list[start:end]
-        lats = lat_list[start:end]
-        lons = lon_list[start:end]
-        rtts = rtt_list[start:end]
-        asns: List[Optional[int]] = []
-        kinds: List[str] = []
-        for autonomous_system, count in zip(prep.systems, prep.counts):
-            asns.extend((autonomous_system.asn,) * count)
-            kinds.extend((_KIND_LABELS[autonomous_system.kind],) * count)
-        ixp_ids: List[Optional[int]] = [None] * total
-        # IXP port hop between the ISP hops and the cloud hops for direct
-        # sessions over a public exchange fabric.
-        if prep.interconnect is InterconnectKind.DIRECT_IXP:
-            peering = self._topology.peering_for(prep.region.provider_code)
-            ixp_id = peering.direct_isps.get(prep.as_path[0])
-            if ixp_id is not None:
-                ixp = self._topology.ixps.get(ixp_id)
-                insert_at = prep.counts[0]
-                neighbor_rtt = rtts[min(insert_at, total - 1)]
-                addresses.insert(
-                    insert_at, ixp.lan_address_for(peering.cloud_asn)
-                )
-                asns.insert(insert_at, None)
-                kinds.insert(insert_at, "ixp")
-                lats.insert(insert_at, ixp.location.lat)
-                lons.insert(insert_at, ixp.location.lon)
-                rtts.insert(insert_at, neighbor_rtt)
-                ixp_ids.insert(insert_at, ixp_id)
+        placed = self._place_hops(preps)
+        n = len(preps)
+        offsets = placed.offsets
+        n_hops = np.diff(offsets)
+        ported = [j for j, prep in enumerate(preps) if prep.meta.port is not None]
+        port_at = np.array([preps[j].counts[0] for j in ported], np.int64)
+        sizes = n_hops + 1
+        sizes[ported] += 1
+        ends = np.cumsum(sizes)
+        hops = self._arena.hops
+        starts = hops.reserve(int(ends[-1])) + ends - sizes
 
-        # Destination endpoint hop (the VM).
+        # Router hops shift one slot past the IXP port.
+        insert_at = np.full(n, np.iinfo(np.int64).max)
+        insert_at[ported] = port_at
+        path_of = np.repeat(np.arange(n), n_hops)
+        local = np.arange(len(path_of)) - offsets[:-1][path_of]
+        slots = starts[path_of] + local + (local >= insert_at[path_of])
+        hops.address[slots] = placed.addresses
+        hops.base_rtt[slots] = placed.base_rtts
+        hops.lat[slots] = placed.lats
+        hops.lon[slots] = placed.lons
+        hops.owner[slots] = placed.owners
+
+        if ported:
+            ports = [preps[j].meta.port for j in ported]
+            slots = starts[ported] + port_at
+            neighbors = offsets[ported] + np.minimum(port_at, n_hops[ported] - 1)
+            hops.address[slots] = [port[1] for port in ports]
+            hops.base_rtt[slots] = placed.base_rtts[neighbors]
+            hops.lat[slots] = [port[2] for port in ports]
+            hops.lon[slots] = [port[3] for port in ports]
+            hops.owner[slots] = OWNER_IXP
+
         base_path_rtt = (
-            prep.two_way_fiber
-            + (total + 1) * path_config.hop_processing_ms
+            np.array([prep.two_way_fiber for prep in preps])
+            + (n_hops + 1) * path_config.hop_processing_ms
             + path_config.min_path_rtt_ms
-            + prep.fixed_rtt
+            + np.array([prep.meta.fixed_rtt for prep in preps])
         )
-        location = prep.region.location
-        addresses.append(prep.dest_address)
-        asns.append(prep.as_path[-1])
-        kinds.append(_KIND_LABELS[ASKind.CLOUD])
-        lats.append(location.lat)
-        lons.append(location.lon)
-        rtts.append(base_path_rtt)
-        ixp_ids.append(None)
-        columns = (
-            tuple(addresses),
-            tuple(asns),
-            tuple(kinds),
-            tuple(lats),
-            tuple(lons),
-            tuple(rtts),
-            tuple(ixp_ids),
-        )
-        return columns, base_path_rtt
+        dest_addresses = [prep.dest_address for prep in preps]
+        slots = starts + sizes - 1
+        hops.address[slots] = dest_addresses
+        hops.base_rtt[slots] = base_path_rtt
+        hops.lat[slots] = [prep.region.location.lat for prep in preps]
+        hops.lon[slots] = [prep.region.location.lon for prep in preps]
+        hops.owner[slots] = [len(prep.meta.as_path) - 1 for prep in preps]
 
-    def _finalize(
-        self, prep: _PathPrep, columns: tuple, base_rtt: float
-    ) -> PlannedPath:
-        path_config = self._config.path_model
-        congestion = (
-            path_config.congestion_probability
-            if prep.interconnect is InterconnectKind.PUBLIC
-            else path_config.congestion_probability * 0.25
+        interconnects = np.array(
+            [_INTERCONNECT_CODES[prep.meta.interconnect] for prep in preps], np.int8
         )
-        return PlannedPath(
-            probe_id=prep.probe.probe_id,
-            region_id=prep.region.region_id,
-            provider_code=prep.region.provider_code,
-            as_path=tuple(prep.as_path),
-            interconnect=prep.interconnect,
-            distance_km=prep.distance,
-            stretch=prep.stretch,
-            jitter_sigma=prep.sigma,
-            congestion_probability=congestion,
-            base_path_rtt_ms=base_rtt,
-            hop_columns=columns,
-            dest_address=prep.dest_address,
+        congestion = path_config.congestion_probability
+        pairs = self._arena.pairs
+        first = pairs.reserve(n)
+        rows = slice(first, first + n)
+        pairs.hop_start[rows] = starts
+        pairs.hop_count[rows] = sizes
+        pairs.base_path_rtt_ms[rows] = base_path_rtt
+        pairs.jitter_sigma[rows] = [prep.sigma for prep in preps]
+        pairs.congestion_probability[rows] = np.where(
+            interconnects == _INTERCONNECT_CODES[InterconnectKind.PUBLIC],
+            congestion,
+            congestion * 0.25,
         )
+        pairs.dest_address[rows] = dest_addresses
+        pairs.distance_km[rows] = [prep.distance for prep in preps]
+        pairs.stretch[rows] = [prep.stretch for prep in preps]
+        pairs.interconnect[rows] = interconnects
+        pairs.meta[rows] = [prep.meta.index for prep in preps]
+        return first
 
     def _adjust_stretch_for_geography(
         self, stretch: float, probe: Probe, region: CloudRegion, wan: PrivateWAN

@@ -111,9 +111,13 @@ def ping_rows(
             sample_values=np.empty(0, np.float64),
             sample_offsets=np.zeros(1, np.int64),
         )
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
-    )
+    planner = engine.planner
+    paths = [
+        planner.path(row)
+        for row in planner.plan_many(
+            [(request.probe, request.region) for request in requests]
+        )
+    ]
     probes, regions, probe_code_list, region_code_list = intern_endpoints(
         requests
     )

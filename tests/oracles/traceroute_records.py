@@ -46,9 +46,13 @@ def traceroute_records(
         rng = engine.rng
     unresponsive_p = config.path_model.hop_unresponsive_probability
 
-    paths = engine.planner.plan_many(
-        [(request.probe, request.region) for request in requests]
-    )
+    planner = engine.planner
+    paths = [
+        planner.path(row)
+        for row in planner.plan_many(
+            [(request.probe, request.region) for request in requests]
+        )
+    ]
     accesses: List[AccessKind] = []
     lastmile_rows: List[Tuple[float, ...]] = []
     sigma = np.empty(n)

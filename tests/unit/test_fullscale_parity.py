@@ -199,11 +199,22 @@ def paths_identical(a, b):
         and a.base_path_rtt_ms == b.base_path_rtt_ms
         and a.jitter_sigma == b.jitter_sigma
         and a.congestion_probability == b.congestion_probability
+        and a.dest_address == b.dest_address
+        and a.distance_km == b.distance_km
+        and a.stretch == b.stretch
         and a.hop_addresses == b.hop_addresses
+        and a.hop_asns == b.hop_asns
+        and a.hop_kinds == b.hop_kinds
         and a.hop_lats == b.hop_lats
         and a.hop_lons == b.hop_lons
         and a.hop_base_rtts == b.hop_base_rtts
+        and a.hop_ixp_ids == b.hop_ixp_ids
     )
+
+
+def planned_views(planner, pairs):
+    """Plan ``pairs`` in one batch; their arena rows as path views."""
+    return [planner.path(row) for row in planner.plan_many(pairs)]
 
 
 @pytest.fixture(scope="module")
@@ -245,25 +256,28 @@ class TestPlannerParity:
     def test_plan_many_matches_scalar_plan(self, planners, sample_pairs):
         batch_planner = planners(False)
         scalar_planner = planners(False)
-        batch = batch_planner.plan_many(sample_pairs)
+        batch = planned_views(batch_planner, sample_pairs)
         for (probe, region), planned in zip(sample_pairs, batch):
             assert paths_identical(planned, scalar_planner.plan(probe, region))
 
     def test_empty_batch(self, planners):
-        assert planners(False).plan_many([]) == []
+        planner = planners(False)
+        assert len(planner.plan_many([])) == 0
+        assert len(planner.arena) == 0
 
     def test_single_pair_batch(self, planners, sample_pairs):
         planner = planners(False)
-        (path,) = planner.plan_many(sample_pairs[:1])
+        (path,) = planned_views(planner, sample_pairs[:1])
         assert paths_identical(path, planners(False).plan(*sample_pairs[0]))
 
     def test_duplicate_pairs_in_batch_share_one_path(
         self, planners, sample_pairs
     ):
-        """Repeats inside one batch dedupe to a single planned object
-        and consume the pair's RNG draws exactly once."""
+        """Repeats inside one batch dedupe to a single arena row and
+        consume the pair's RNG draws exactly once."""
         planner = planners(False)
         pair = sample_pairs[0]
         first, second, third = planner.plan_many([pair, pair, pair])
-        assert first is second is third
-        assert paths_identical(first, planners(False).plan(*pair))
+        assert first == second == third
+        assert len(planner.arena) == 1
+        assert paths_identical(planner.path(first), planners(False).plan(*pair))

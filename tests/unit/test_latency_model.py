@@ -27,7 +27,6 @@ def make_path(base_rtt=50.0, sigma=0.1, congestion=0.0):
         jitter_sigma=sigma,
         congestion_probability=congestion,
         base_path_rtt_ms=base_rtt,
-        hops=(),
         dest_address=1,
     )
 

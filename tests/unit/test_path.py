@@ -20,8 +20,15 @@ def sample(world):
 
 class TestPlanBasics:
     def test_plan_is_cached(self, world, sample):
+        """A cached pair maps to the same arena row, and planning it
+        again appends nothing."""
         probe, region, plan = sample
-        assert world.planner.plan(probe, region) is plan
+        planner = world.planner
+        planned = len(planner.arena)
+        (row,) = planner.plan_many([(probe, region)])
+        assert planner.plan_many([(probe, region)])[0] == row
+        assert len(planner.arena) == planned
+        assert planner.path(row) == plan
 
     def test_as_path_endpoints(self, world, sample):
         probe, region, plan = sample
